@@ -3,7 +3,9 @@
 // adres.counters.v1, adres.metrics.v1, bench dumps) and to load
 // adres.campaign.v1 checkpoints for resumable campaigns.  Not a
 // general-purpose parser (\uXXXX escapes are accepted but collapsed
-// to '?').
+// to '?').  Arrays and objects nest at most JsonParser::kMaxDepth deep:
+// deeper input is rejected with the parser's normal error instead of
+// recursing until the stack overflows.
 #pragma once
 
 #include <cctype>
@@ -33,6 +35,10 @@ struct JsonValue {
 
 class JsonParser {
  public:
+  /// Deepest array/object nesting accepted (far beyond any file the repo
+  /// writes; bounds the parser's recursion on hostile input).
+  static constexpr int kMaxDepth = 256;
+
   explicit JsonParser(const std::string& text) : s_(text) {}
 
   JsonValue parse() {
@@ -64,11 +70,22 @@ class JsonParser {
     if (get() != c) fail(std::string("expected '") + c + "'");
   }
 
+  /// Counts one level of array/object nesting for its lifetime.
+  struct Nest {
+    explicit Nest(JsonParser& p) : p_(p) {
+      if (p_.depth_ == kMaxDepth)
+        p_.fail("nesting deeper than " + std::to_string(kMaxDepth));
+      ++p_.depth_;
+    }
+    ~Nest() { --p_.depth_; }
+    JsonParser& p_;
+  };
+
   JsonValue parseValue() {
     skipWs();
     switch (peek()) {
-      case '{': return parseObject();
-      case '[': return parseArray();
+      case '{': { Nest n(*this); return parseObject(); }
+      case '[': { Nest n(*this); return parseArray(); }
       case '"': return parseString();
       case 't': case 'f': return parseBool();
       case 'n': return parseNull();
@@ -178,6 +195,7 @@ class JsonParser {
 
   std::string s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects around the current position
 };
 
 }  // namespace adres::json

@@ -306,7 +306,9 @@ class PacketFarm {
   BoundedQueue<RxJob> queue_;
   /// Recycled payload storage: rx waveforms return here after the decode's
   /// DMA (workers release, producers acquire); decoded-bit buffers cycle
-  /// through recycleOutcomes().  Both loops are allocation-free once warm.
+  /// through recycleOutcomes().  Both loops are allocation-free once warm;
+  /// each pool keeps no more idle buffers than its loop has held at once,
+  /// so buffers a submitter brings fresh are freed after the decode.
   BufferPool<cint16> samplePool_;
   BufferPool<u8> bitPool_;
   std::unique_ptr<obs::WorkerWatchdog> watchdog_;

@@ -10,6 +10,9 @@ namespace {
 
 struct ProgramCache {
   std::mutex mu;
+  // The process-wide mapped kernel set, mapped on the first miss: every
+  // cached program is built from it, so N configurations cost one mapping.
+  std::shared_ptr<const sdr::ModemKernels> kernels;
   // Key: (modulation, numSymbols) — the full build input.  The cached
   // ModemOnProcessor carries the per-tier plan cache, so every session
   // sharing a program also shares one pre-decoded plan set per exec tier
@@ -32,9 +35,10 @@ std::shared_ptr<const sdr::ModemOnProcessor> modemProgramFor(
   std::lock_guard<std::mutex> lk(c.mu);
   auto it = c.byConfig.find(key);
   if (it == c.byConfig.end()) {
+    if (!c.kernels) c.kernels = sdr::mapModemKernels();
     it = c.byConfig
              .emplace(key, std::make_shared<const sdr::ModemOnProcessor>(
-                               sdr::buildModemProgram(cfg)))
+                               sdr::buildModemProgram(cfg, c.kernels)))
              .first;
   }
   return it->second;
@@ -44,6 +48,7 @@ void clearModemProgramCache() {
   ProgramCache& c = cache();
   std::lock_guard<std::mutex> lk(c.mu);
   c.byConfig.clear();
+  c.kernels.reset();
 }
 
 void SessionStats::merge(const SessionStats& other) {

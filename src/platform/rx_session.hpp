@@ -1,7 +1,8 @@
 // RxSession: a reusable receive context — one Processor plus the modem
-// program for its ModemConfig, built and mapped ONCE (the DRESC-style
-// kernel scheduling in buildModemProgram dominates setup cost) and shared
-// through a process-wide cache keyed by the configuration.  decode() then
+// program for its ModemConfig, built ONCE and shared through a process-wide
+// cache keyed by the configuration.  The DRESC-style kernel mapping that
+// dominates set-up runs once per process: every cached program is built
+// from one shared mapped kernel set.  decode() then
 // only pays waveform DMA + execution + result decode per packet, which is
 // what a deployed platform re-running the resident program would do.
 #pragma once
@@ -19,13 +20,15 @@
 namespace adres::platform {
 
 /// Returns the shared mapped modem program for `cfg`, building it on the
-/// first request for that configuration.  Thread-safe; identical configs
-/// always yield the same object.
+/// first request for that configuration from the process-wide mapped
+/// kernel set (mapped on the first request of all).  Thread-safe; identical
+/// configs always yield the same object.
 std::shared_ptr<const sdr::ModemOnProcessor> modemProgramFor(
     const dsp::ModemConfig& cfg);
 
-/// Drops every cached program (test hook; outstanding shared_ptrs stay
-/// valid).
+/// Drops every cached program and the mapped kernel set, so the next
+/// modemProgramFor maps from scratch (test/benchmark hook; outstanding
+/// shared_ptrs stay valid).
 void clearModemProgramCache();
 
 /// Counter totals accumulated across the packets a session decoded.

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
-#include <map>
 #include <optional>
-#include <vector>
-
 #include <tuple>
+#include <vector>
 
 #include "cga/topology.hpp"
 #include "isa/instruction.hpp"
@@ -50,6 +47,16 @@ struct Placement {
   int globalReg = -1;  ///< value's CDRF scratch register (if written)
 };
 
+/// A live-in/const value preloaded into one FU's local register.
+struct LiveInLocal {
+  int node = -1;
+  int fu = -1;
+  int reg = -1;
+};
+
+/// The modulo reservation table plus everything booked so far.  Only
+/// vectors of trivially copyable rows: a trial copy-assigns into retained
+/// capacity without touching the heap.
 struct SchedState {
   int ii = 0;
   std::vector<std::array<bool, kCgaFus>> slotBusy;
@@ -81,8 +88,7 @@ struct SchedState {
   std::vector<Placement> place;
   std::vector<Preload> preloads;
   std::vector<Writeback> writebacks;
-  /// (liveIn/const node, fu) -> preloaded local register.
-  std::map<std::pair<int, int>, int> liveInLocal;
+  std::vector<LiveInLocal> liveInLocal;
   int moves = 0;
   int maxTimePlusLat = 1;
 };
@@ -142,19 +148,49 @@ int ensureProducerGlobal(SchedState& st, int node, int fixedReg) {
 // Edge routing: breadth-first search over (fu, commit-cycle) states.
 // ---------------------------------------------------------------------------
 
+constexpr int kMaxRouteMoves = 6;
+
 struct RouteNode {
   int f = -1;
   int c = 0;          ///< cycle at which the value is committed at f
   int parent = -1;
   int issue = -1;     ///< issue time of the move that created this state
+  int depth = 0;      ///< routing moves from the producer to this state
   bool readsLocal = false;  ///< move read the parent's local register
+};
+
+/// Mesh neighbours of each FU in ascending order: the FUs that can read its
+/// output register (the routing BFS expands hops in this order).
+const std::array<std::array<int, 4>, kCgaFus>& sortedNeighbours() {
+  static const auto table = [] {
+    std::array<std::array<int, 4>, kCgaFus> t{};
+    for (int f = 0; f < kCgaFus; ++f) {
+      auto& row = t[static_cast<std::size_t>(f)];
+      row = {neighbour(f, Dir::kNorth), neighbour(f, Dir::kSouth),
+             neighbour(f, Dir::kEast), neighbour(f, Dir::kWest)};
+      std::sort(row.begin(), row.end());
+    }
+    return t;
+  }();
+  return table;
+}
+
+/// Reusable BFS state for routeOpEdge, owned by the scheduling attempt so
+/// routing one edge touches no heap once the buffers have grown.
+struct RouteScratch {
+  std::vector<RouteNode> nodes;  ///< discovered states, in BFS order
+  std::vector<int> queue;        ///< FIFO of node indices from `head`
+  /// Visited set over [commit, T] x FUs, indexed by
+  /// (c - commit) * kCgaFus + f.
+  std::vector<u8> visited;
 };
 
 /// Routes producer `prod` (an op node, already placed) to the consumer port
 /// (consFu, consTime, operandIdx) with iteration distance `dist`.
 /// On success fills the consumer's operand select and books all resources.
-bool routeOpEdge(SchedState& st, int prodNode, int consFu, int consTime,
-                 FuOp& consOp, int operandIdx, int dist, int phiSeedReg) {
+bool routeOpEdge(SchedState& st, RouteScratch& rs, int prodNode, int consFu,
+                 int consTime, FuOp& consOp, int operandIdx, int dist,
+                 int phiSeedReg) {
   const Placement& p = st.place[static_cast<std::size_t>(prodNode)];
   const int T = consTime + dist * st.ii;  // producer-relative read instant
   if (T < p.commit) return false;
@@ -189,102 +225,106 @@ bool routeOpEdge(SchedState& st, int prodNode, int consFu, int consTime,
     }
   }
 
-  // BFS through routing moves.
-  std::vector<RouteNode> nodes;
-  nodes.push_back({p.fu, p.commit, -1, -1, false});
-  std::deque<int> queue{0};
-  std::map<std::pair<int, int>, bool> visited;
-  visited[{p.fu, p.commit}] = true;
+  // BFS through routing moves.  A state that provably cannot reach a
+  // terminal in time is dropped without being marked visited: each hop or
+  // delay move advances the cycle by at least one, so the state needs
+  // `need` more moves and must still sit at or before T.  Its descendants
+  // would be as dead, and the cells it would have marked are dead for any
+  // later (equally deep or deeper) discoverer, so the search finds exactly
+  // the terminal and chain it would without the cut.  This also keeps
+  // every visited cycle inside [commit, T].
+  std::vector<RouteNode>& nodes = rs.nodes;
+  nodes.clear();
+  rs.queue.clear();
+  rs.visited.assign(static_cast<std::size_t>(T + 1 - p.commit) * kCgaFus, 0);
+  const auto seen = [&](int f, int c) -> u8& {
+    return rs.visited[static_cast<std::size_t>((c - p.commit) * kCgaFus + f)];
+  };
+  nodes.push_back({p.fu, p.commit, -1, -1, 0, false});
+  rs.queue.push_back(0);
+  seen(p.fu, p.commit) = 1;
   int terminal = -1;
   bool terminalLocal = false;  // consumer reads last move's local register
 
-  const auto windowEndOf = [&](const RouteNode& rn) {
-    return rn.parent < 0 ? p.windowEnd : rn.c + st.ii;
+  // Records a new state reached from `cur`; true when it is a terminal.
+  const auto discover = [&](int cur, int f, int c, int issue, bool local) {
+    const int depth = nodes[static_cast<std::size_t>(cur)].depth + 1;
+    const bool localEnd = f == consFu && c <= T && T < c + st.ii;
+    const bool outputEnd = dist == 0 && c == T && canRead(consFu, f);
+    if (!localEnd && !outputEnd) {
+      // Hops still needed: to consFu itself, or (dist 0) to any FU it reads.
+      const int hops = torusHops(f, consFu);
+      const int need = dist == 0 ? std::max(0, hops - 1) : hops;
+      if (c + need > T || depth + std::max(1, need) > kMaxRouteMoves)
+        return false;
+    }
+    seen(f, c) = 1;
+    nodes.push_back({f, c, cur, issue, depth, local});
+    const int idx = static_cast<int>(nodes.size()) - 1;
+    if (localEnd || outputEnd) {
+      terminal = idx;
+      terminalLocal = localEnd;
+      return true;
+    }
+    rs.queue.push_back(idx);
+    return false;
   };
 
-  constexpr int kMaxRouteMoves = 6;
-  std::vector<int> depth{0};
-
-  while (!queue.empty() && terminal < 0) {
-    const int cur = queue.front();
-    queue.pop_front();
+  for (std::size_t head = 0; head < rs.queue.size() && terminal < 0; ++head) {
+    const int cur = rs.queue[head];
     const RouteNode rn = nodes[static_cast<std::size_t>(cur)];
-    if (depth[static_cast<std::size_t>(cur)] >= kMaxRouteMoves) continue;
+    const std::size_t phase = static_cast<std::size_t>(rn.c % st.ii);
 
-    // Goal tests for states other than the raw start (start handled above).
-    // Expansion: moves.
     // E1: hop to a mesh neighbour reading rn.f's output at exactly rn.c.
-    if (rn.c < T) {
-      for (int f2 = 0; f2 < kCgaFus; ++f2) {
-        if (f2 == rn.f || !canRead(f2, rn.f)) continue;
-        if (visited.count({f2, rn.c + 1})) continue;
-        if (st.slotBusy[static_cast<std::size_t>(rn.c % st.ii)][static_cast<std::size_t>(f2)]) continue;
+    // Reading rn's output at exactly rn.c requires a unique committer: the
+    // producer (already booked, count 1) at the start state, or an as-yet-
+    // unbooked route move (phase must still be empty).
+    const int expectCount = rn.parent < 0 ? 1 : 0;
+    if (rn.c < T &&
+        st.commitCount[phase][static_cast<std::size_t>(rn.f)] == expectCount) {
+      for (int f2 : sortedNeighbours()[static_cast<std::size_t>(rn.f)]) {
+        if (seen(f2, rn.c + 1)) continue;
+        if (st.slotBusy[phase][static_cast<std::size_t>(f2)]) continue;
         if (!st.commitAllowed(rn.c + 1, f2)) continue;
-        // Reading rn's output at exactly rn.c requires a unique committer:
-        // the producer (already booked, count 1) at the start state, or an
-        // as-yet-unbooked route move (phase must still be empty).
-        const int expectCount = rn.parent < 0 ? 1 : 0;
-        if (st.commitCount[static_cast<std::size_t>(rn.c % st.ii)][static_cast<std::size_t>(rn.f)] != expectCount)
-          continue;
-        visited[{f2, rn.c + 1}] = true;
-        nodes.push_back({f2, rn.c + 1, cur, rn.c, false});
-        depth.push_back(depth[static_cast<std::size_t>(cur)] + 1);
-        const int idx = static_cast<int>(nodes.size()) - 1;
-        // Terminal checks for the new state.
-        const RouteNode& nn = nodes.back();
-        if ((nn.f == consFu && nn.c <= T && T < nn.c + st.ii) ) {
-          terminal = idx; terminalLocal = true; break;
-        }
-        if (dist == 0 && nn.c == T && canRead(consFu, nn.f)) {
-          terminal = idx; terminalLocal = false; break;
-        }
-        queue.push_back(idx);
+        if (discover(cur, f2, rn.c + 1, rn.c, false)) break;
       }
       if (terminal >= 0) break;
     }
     // E2: delay on the same FU — a MOV reading the local register written
-    // at rn.c, re-committing later.  Requires a local write at rn.
-    {
-      const int wEnd = windowEndOf(rn);
-      for (int m = rn.c; m < std::min(wEnd, T + 1); ++m) {
-        if (visited.count({rn.f, m + 1})) continue;
-        if (st.slotBusy[static_cast<std::size_t>(m % st.ii)][static_cast<std::size_t>(rn.f)]) continue;
-        if (!st.commitAllowed(m + 1, rn.f)) continue;
-        visited[{rn.f, m + 1}] = true;
-        nodes.push_back({rn.f, m + 1, cur, m, true});
-        depth.push_back(depth[static_cast<std::size_t>(cur)] + 1);
-        const int idx = static_cast<int>(nodes.size()) - 1;
-        const RouteNode& nn = nodes.back();
-        if (nn.f == consFu && nn.c <= T && T < nn.c + st.ii) {
-          terminal = idx; terminalLocal = true; break;
-        }
-        if (dist == 0 && nn.c == T && canRead(consFu, nn.f)) {
-          terminal = idx; terminalLocal = false; break;
-        }
-        queue.push_back(idx);
-      }
-      if (terminal >= 0) break;
+    // at rn.c, re-committing later (no later than T).  Requires a local
+    // write at rn.
+    const int wEnd = rn.parent < 0 ? p.windowEnd : rn.c + st.ii;
+    for (int m = rn.c; m < std::min(wEnd, T); ++m) {
+      if (seen(rn.f, m + 1)) continue;
+      if (st.slotBusy[static_cast<std::size_t>(m % st.ii)][static_cast<std::size_t>(rn.f)]) continue;
+      if (!st.commitAllowed(m + 1, rn.f)) continue;
+      if (discover(cur, rn.f, m + 1, m, true)) break;
     }
   }
 
   if (terminal < 0) return false;
 
-  // Materialize the chain from start to terminal.
-  std::vector<int> chain;
+  // Materialize the chain from start to terminal (at most kMaxRouteMoves
+  // moves, so kMaxRouteMoves + 1 states).
+  std::array<int, kMaxRouteMoves + 1> chain{};
+  int len = 0;
   for (int i = terminal; i >= 0; i = nodes[static_cast<std::size_t>(i)].parent)
-    chain.push_back(i);
-  std::reverse(chain.begin(), chain.end());  // chain[0] = start
+    chain[static_cast<std::size_t>(len++)] = i;
+  std::reverse(chain.begin(), chain.begin() + len);  // chain[0] = start
+  const auto node = [&](int i) -> const RouteNode& {
+    return nodes[static_cast<std::size_t>(chain[static_cast<std::size_t>(i)])];
+  };
 
   // Determine which states need a local register (read by a delay move or
   // by the terminal-local consumer).
-  std::vector<bool> needLocal(chain.size(), false);
-  for (std::size_t i = 1; i < chain.size(); ++i) {
-    if (nodes[static_cast<std::size_t>(chain[i])].readsLocal) needLocal[i - 1] = true;
-  }
-  if (terminalLocal) needLocal[chain.size() - 1] = true;
+  std::array<bool, kMaxRouteMoves + 1> needLocal{};
+  for (int i = 1; i < len; ++i)
+    if (node(i).readsLocal) needLocal[static_cast<std::size_t>(i - 1)] = true;
+  if (terminalLocal) needLocal[static_cast<std::size_t>(len - 1)] = true;
 
   // Start state local register (the producer's own).
-  std::vector<int> regOf(chain.size(), -1);
+  std::array<int, kMaxRouteMoves + 1> regOf;
+  regOf.fill(-1);
   if (needLocal[0]) {
     const int reg = ensureProducerLocal(st, prodNode);
     if (reg < 0) return false;
@@ -292,9 +332,9 @@ bool routeOpEdge(SchedState& st, int prodNode, int consFu, int consTime,
   }
 
   // Place the moves.
-  for (std::size_t i = 1; i < chain.size(); ++i) {
-    const RouteNode& rn = nodes[static_cast<std::size_t>(chain[i])];
-    const RouteNode& prev = nodes[static_cast<std::size_t>(chain[i - 1])];
+  for (int i = 1; i < len; ++i) {
+    const RouteNode& rn = node(i);
+    const RouteNode& prev = node(i - 1);
     const int slot = rn.issue % st.ii;
     if (st.slotBusy[static_cast<std::size_t>(slot)][static_cast<std::size_t>(rn.f)]) return false;
     if (!st.commitAllowed(rn.c, rn.f)) return false;
@@ -304,26 +344,26 @@ bool routeOpEdge(SchedState& st, int prodNode, int consFu, int consTime,
     FuOp& mv = st.ops[static_cast<std::size_t>(slot)][static_cast<std::size_t>(rn.f)];
     mv.op = Opcode::MOV;
     mv.schedTime = static_cast<u16>(rn.issue);
-    mv.src1 = rn.readsLocal ? SrcSel::localRf(regOf[i - 1])
+    mv.src1 = rn.readsLocal ? SrcSel::localRf(regOf[static_cast<std::size_t>(i - 1)])
                             : SrcSel::output(prev.f);
-    if (needLocal[i]) {
+    if (needLocal[static_cast<std::size_t>(i)]) {
       const int reg = allocLocal(st, rn.f);
       if (reg < 0) return false;
       mv.dst.toLocalRf = true;
       mv.dst.localAddr = static_cast<u8>(reg);
-      regOf[i] = reg;
+      regOf[static_cast<std::size_t>(i)] = reg;
     }
     ++st.moves;
     st.maxTimePlusLat = std::max(st.maxTimePlusLat, rn.c + 1);
   }
 
   // Hook the consumer's operand.
-  const RouteNode& last = nodes[static_cast<std::size_t>(chain.back())];
+  const RouteNode& last = node(len - 1);
+  const int lastReg = regOf[static_cast<std::size_t>(len - 1)];
   if (terminalLocal) {
-    operandField(consOp, operandIdx) = SrcSel::localRf(regOf[chain.size() - 1]);
+    operandField(consOp, operandIdx) = SrcSel::localRf(lastReg);
     if (phiSeedReg >= 0)
-      st.preloads.push_back({static_cast<u8>(consFu),
-                             static_cast<u8>(regOf[chain.size() - 1]),
+      st.preloads.push_back({static_cast<u8>(consFu), static_cast<u8>(lastReg),
                              static_cast<u8>(phiSeedReg)});
   } else {
     if (phiSeedReg >= 0) return false;  // carried values need a seeded register
@@ -340,15 +380,16 @@ bool routeLiveInEdge(SchedState& st, const DfgNode& src, int consFu,
     operandField(consOp, operandIdx) = SrcSel::globalRf(src.globalReg);
     return true;
   }
-  const auto key = std::make_pair(src.id, consFu);
-  const auto it = st.liveInLocal.find(key);
+  const auto it = std::find_if(
+      st.liveInLocal.begin(), st.liveInLocal.end(),
+      [&](const LiveInLocal& l) { return l.node == src.id && l.fu == consFu; });
   int reg;
   if (it != st.liveInLocal.end()) {
-    reg = it->second;
+    reg = it->reg;
   } else {
     reg = allocLocal(st, consFu);
     if (reg < 0) return false;
-    st.liveInLocal[key] = reg;
+    st.liveInLocal.push_back({src.id, consFu, reg});
     st.preloads.push_back({static_cast<u8>(consFu), static_cast<u8>(reg),
                            src.globalReg});
   }
@@ -359,10 +400,6 @@ bool routeLiveInEdge(SchedState& st, const DfgNode& src, int consFu,
 // ---------------------------------------------------------------------------
 // The scheduler driver.
 // ---------------------------------------------------------------------------
-
-struct EdgeRef {
-  Edge e;
-};
 
 class Attempt {
  public:
@@ -416,7 +453,8 @@ class Attempt {
   void buildEdges();
   void computeHeights();
   bool placeNode(int v);
-  bool tryCandidate(SchedState& st, int v, int fu, int t, bool allowSharedCommit);
+  bool candidateFits(int v, int fu, int t, bool allowSharedCommit) const;
+  bool bookCandidate(SchedState& st, int v, int fu, int t);
   bool routeEdgeInState(SchedState& st, const Edge& e);
   int earliestStart(int v) const;
   int latestStart(int v) const;
@@ -424,7 +462,14 @@ class Attempt {
   const KernelDfg& g_;
   const ScheduleOptions& opt_;
   SchedState st_;
+  /// Candidate state: copy-assigned from st_ into retained capacity for
+  /// every candidate that passes candidateFits, swapped in on success.
+  SchedState trial_;
+  RouteScratch route_;
   std::vector<Edge> edges_;
+  /// Per node, the indices of the edges it produces or consumes, in
+  /// edges_ order (routing order decides resource booking).
+  std::vector<std::vector<int>> incident_;
   std::vector<int> height_;
   std::vector<int> asap_;  ///< earliest feasible issue over dist-0 edges
   std::vector<int> alap_;  ///< latest issue on a critical-path-length schedule
@@ -461,6 +506,13 @@ void Attempt::buildEdges() {
       }
       edges_.push_back(e);
     }
+  }
+  incident_.assign(g_.nodes.size(), {});
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    const Edge& e = edges_[i];
+    incident_[static_cast<std::size_t>(e.consumer)].push_back(static_cast<int>(i));
+    if (e.producer != e.consumer)
+      incident_[static_cast<std::size_t>(e.producer)].push_back(static_cast<int>(i));
   }
 }
 
@@ -558,7 +610,8 @@ void Attempt::computeHeights() {
 
 int Attempt::earliestStart(int v) const {
   int est = 0;
-  for (const Edge& e : edges_) {
+  for (int i : incident_[static_cast<std::size_t>(v)]) {
+    const Edge& e = edges_[static_cast<std::size_t>(i)];
     if (e.consumer != v) continue;
     const DfgNode& pn = g_.node(e.producer);
     if (pn.kind != NodeKind::kOp) continue;
@@ -586,7 +639,8 @@ int Attempt::latestStart(int v) const {
   // later than the consumer's (dist-shifted) read instant.
   int latest = 1 << 20;
   const int lat = latencyOf(g_.node(v));
-  for (const Edge& e : edges_) {
+  for (int i : incident_[static_cast<std::size_t>(v)]) {
+    const Edge& e = edges_[static_cast<std::size_t>(i)];
     if (e.producer != v || e.consumer == v) continue;
     const Placement& cp = st_.place[static_cast<std::size_t>(e.consumer)];
     if (!cp.placed) continue;
@@ -614,17 +668,15 @@ bool Attempt::routeEdgeInState(SchedState& st, const Edge& e) {
     return routeLiveInEdge(st, pn, cp.fu, consOp, e.operandIdx);
   }
   const int seed = e.phi >= 0 ? g_.node(e.phi).globalReg : -1;
-  return routeOpEdge(st, e.producer, cp.fu, cp.t, consOp, e.operandIdx,
-                     e.dist, seed);
+  return routeOpEdge(st, route_, e.producer, cp.fu, cp.t, consOp,
+                     e.operandIdx, e.dist, seed);
 }
 
-bool Attempt::tryCandidate(SchedState& st, int v, int fu, int t,
-                           bool allowSharedCommit) {
+bool Attempt::candidateFits(int v, int fu, int t, bool allowSharedCommit) const {
+  const SchedState& st = st_;
   const DfgNode& nd = g_.node(v);
-  const OpInfo& info = opInfo(nd.op);
   const int ii = st.ii;
-  const int slot = t % ii;
-  const int lat = info.latency;
+  const int lat = opInfo(nd.op).latency;
 
   // Issue-slot booking (divider is non-pipelined: 8 consecutive slots).
   if (isDivOp(nd.op)) {
@@ -632,7 +684,7 @@ bool Attempt::tryCandidate(SchedState& st, int v, int fu, int t,
     for (int k = 0; k < 8; ++k)
       if (st.slotBusy[static_cast<std::size_t>((t + k) % ii)][static_cast<std::size_t>(fu)]) REJECT("div slots");
   } else {
-    if (st.slotBusy[static_cast<std::size_t>(slot)][static_cast<std::size_t>(fu)]) REJECT("slot busy");
+    if (st.slotBusy[static_cast<std::size_t>(t % ii)][static_cast<std::size_t>(fu)]) REJECT("slot busy");
   }
   if (!st.commitAllowed(t + lat, fu)) REJECT("commit excl");
   if (!allowSharedCommit &&
@@ -641,10 +693,8 @@ bool Attempt::tryCandidate(SchedState& st, int v, int fu, int t,
 
   // LD_IH pairing: same FU as the low half, committing strictly later,
   // within one II so the pair window is non-empty.
-  int pairLow = -1;
   if (nd.op == Opcode::LD_IH) {
-    pairLow = nd.src[2];
-    const Placement& lp = st.place[static_cast<std::size_t>(pairLow)];
+    const Placement& lp = st.place[static_cast<std::size_t>(nd.src[2])];
     if (!lp.placed || lp.fu != fu) REJECT("pair fu");
     if (t + lat <= lp.commit || t + lat >= lp.commit + ii) REJECT("pair window");
   }
@@ -660,8 +710,15 @@ bool Attempt::tryCandidate(SchedState& st, int v, int fu, int t,
       if (p.placed && p.t + oe.dist * ii < t + 1) return false;
     }
   }
+  return true;
+}
 
-  // Book.
+bool Attempt::bookCandidate(SchedState& st, int v, int fu, int t) {
+  const DfgNode& nd = g_.node(v);
+  const int ii = st.ii;
+  const int slot = t % ii;
+  const int lat = opInfo(nd.op).latency;
+
   if (isDivOp(nd.op)) {
     for (int k = 0; k < 8; ++k)
       st.slotBusy[static_cast<std::size_t>((t + k) % ii)][static_cast<std::size_t>(fu)] = true;
@@ -685,8 +742,8 @@ bool Attempt::tryCandidate(SchedState& st, int v, int fu, int t,
   st.maxTimePlusLat = std::max(st.maxTimePlusLat, t + lat);
 
   // Pair register for LD_I/LD_IH.
-  if (pairLow >= 0) {
-    Placement& lp = st.place[static_cast<std::size_t>(pairLow)];
+  if (nd.op == Opcode::LD_IH) {
+    Placement& lp = st.place[static_cast<std::size_t>(nd.src[2])];
     const int reg = allocLocal(st, fu);
     if (reg < 0) REJECT("pair reg");
     FuOp& lowOp = fuOpAt(st, lp.fu, lp.t);
@@ -702,18 +759,15 @@ bool Attempt::tryCandidate(SchedState& st, int v, int fu, int t,
   // Route every edge whose both endpoints are now placed:
   //  - incoming edges into v,
   //  - outgoing edges from v to already-placed consumers (incl. carried).
-  for (const Edge& e : edges_) {
-    const bool incoming = e.consumer == v;
-    const bool outgoing =
-        e.producer == v && e.consumer != v &&
-        st.place[static_cast<std::size_t>(e.consumer)].placed;
-    const bool self = e.producer == v && e.consumer == v;
-    if (!incoming && !outgoing && !self) continue;
-    if (incoming) {
+  for (int i : incident_[static_cast<std::size_t>(v)]) {
+    const Edge& e = edges_[static_cast<std::size_t>(i)];
+    if (e.consumer == v) {
       const DfgNode& pn = g_.node(e.producer);
       if (pn.kind == NodeKind::kOp &&
           !st.place[static_cast<std::size_t>(e.producer)].placed)
         continue;  // routed when the producer lands
+    } else if (!st.place[static_cast<std::size_t>(e.consumer)].placed) {
+      continue;
     }
     if (!routeEdgeInState(st, e)) {
       ++routeFailures_;
@@ -731,15 +785,16 @@ bool Attempt::placeNode(int v) {
   // Candidate FU preference: legality, then closeness to placed partners,
   // then pressure heuristics (keep memory FUs for memory ops, central-port
   // FUs for ops that need them).
-  std::vector<int> fus;
+  std::array<int, kCgaFus> fus;
+  int nFus = 0;
   for (int fu = 0; fu < kCgaFus; ++fu)
-    if ((info.fuMask >> fu) & 1) fus.push_back(fu);
-  std::vector<int> score(kCgaFus, 0);
-  for (int fu : fus) {
+    if ((info.fuMask >> fu) & 1) fus[static_cast<std::size_t>(nFus++)] = fu;
+  std::array<int, kCgaFus> score{};
+  for (int k = 0; k < nFus; ++k) {
+    const int fu = fus[static_cast<std::size_t>(k)];
     int s = 0;
-    for (const Edge& e : edges_) {
-      const bool rel = e.consumer == v || e.producer == v;
-      if (!rel) continue;
+    for (int i : incident_[static_cast<std::size_t>(v)]) {
+      const Edge& e = edges_[static_cast<std::size_t>(i)];
       const int other = e.consumer == v ? e.producer : e.consumer;
       const DfgNode& on = g_.node(other);
       if (on.kind == NodeKind::kOp) {
@@ -759,7 +814,7 @@ bool Attempt::placeNode(int v) {
     }
     score[static_cast<std::size_t>(fu)] = s;
   }
-  std::sort(fus.begin(), fus.end(), [&](int a, int b) {
+  std::sort(fus.begin(), fus.begin() + nFus, [&](int a, int b) {
     if (score[static_cast<std::size_t>(a)] != score[static_cast<std::size_t>(b)])
       return score[static_cast<std::size_t>(a)] < score[static_cast<std::size_t>(b)];
     return a < b;
@@ -777,11 +832,14 @@ bool Attempt::placeNode(int v) {
   // forwarding available for consumers); pass 2 allows phase sharing.
   for (const bool shared : {false, true}) {
     for (int t : times) {
-      for (int fu : fus) {
-        SchedState trial = st_;
-        if (tryCandidate(trial, v, fu, t, shared)) {
-          st_ = std::move(trial);
-          return true;
+      for (int j = 0; j < nFus; ++j) {
+        const int fu = fus[static_cast<std::size_t>(j)];
+        if (candidateFits(v, fu, t, shared)) {
+          trial_ = st_;
+          if (bookCandidate(trial_, v, fu, t)) {
+            std::swap(st_, trial_);
+            return true;
+          }
         }
         ++placementRejects_;
       }

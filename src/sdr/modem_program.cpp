@@ -109,7 +109,6 @@ struct Emitter {
   int kAcorr, kCfo, kFshift, kXcorr, kBitrev, kStage1, kInterleave, kChest,
       kEqNorm, kEqApply, kComp, kDemod;
   int kStage[5];  // stages 2..6
-  int stageHalfBytes[5];
 
   // Table addresses.
   u32 sinTab, atanTab, revTab, usedTab, dataTab, signTab, ltfRef, identTab,
@@ -139,6 +138,7 @@ struct Emitter {
   }
 
   void emitTablesAndLayout();
+  void addKernels(const ModemKernels& k);
   void emitPrologue();
   void emitDetection();
   void emitCoarseCfo();
@@ -232,27 +232,24 @@ void Emitter::emitTablesAndLayout() {
     const FftStageTables t = fftStageTables(s, 4);
     stageOff[s - 2] = pb.dataI16(u16AsI16(t.aOffsets));
     stageTw[s - 2] = pb.dataWords(wordsToU32(t.twiddlePairs));
-    stageHalfBytes[s - 2] = t.halfBytes;
   }
+}
 
-  // Kernels.
-  kAcorr = pb.addKernel(scheduleKernel(AcorrKernel::build()));
-  kCfo = pb.addKernel(scheduleKernel(CfoCorrKernel::build()));
-  kFshift = pb.addKernel(scheduleKernel(FshiftKernel::build()));
-  kXcorr = pb.addKernel(scheduleKernel(XcorrKernel::build()));
-  kBitrev = pb.addKernel(scheduleKernel(BitrevKernel::build()));
-  kStage1 = pb.addKernel(scheduleKernel(FftStage1Kernel::build()));
-  for (int s = 2; s <= 6; ++s)
-    kStage[s - 2] = pb.addKernel(scheduleKernel(
-        FftStageKernel::build(stageHalfBytes[s - 2], /*scaleX8=*/s == 6)));
-  kInterleave = pb.addKernel(scheduleKernel(InterleaveKernel::build()));
-  kChest = pb.addKernel(scheduleKernel(ChestKernel::build()));
-  kEqNorm = pb.addKernel(scheduleKernel(EqCoeffKernel::buildNorm()));
-  kEqApply = pb.addKernel(scheduleKernel(EqCoeffKernel::buildApply()));
-  kComp = pb.addKernel(scheduleKernel(CompKernel::build()));
-  kDemod = pb.addKernel(scheduleKernel(mod == dsp::Modulation::kQam16
-                                           ? DemodKernel::build16()
-                                           : DemodKernel::build()));
+void Emitter::addKernels(const ModemKernels& k) {
+  kAcorr = pb.addKernel(k.acorr);
+  kCfo = pb.addKernel(k.cfo);
+  kFshift = pb.addKernel(k.fshift);
+  kXcorr = pb.addKernel(k.xcorr);
+  kBitrev = pb.addKernel(k.bitrev);
+  kStage1 = pb.addKernel(k.stage1);
+  for (int s = 0; s < 5; ++s)
+    kStage[s] = pb.addKernel(k.stage[static_cast<std::size_t>(s)]);
+  kInterleave = pb.addKernel(k.interleave);
+  kChest = pb.addKernel(k.chest);
+  kEqNorm = pb.addKernel(k.eqNorm);
+  kEqApply = pb.addKernel(k.eqApply);
+  kComp = pb.addKernel(k.comp);
+  kDemod = pb.addKernel(mod == dsp::Modulation::kQam16 ? k.demod16 : k.demod64);
 }
 
 void Emitter::emitPrologue() {
@@ -662,17 +659,47 @@ void Emitter::emitDataLoop() {
 
 }  // namespace
 
+std::shared_ptr<const ModemKernels> mapModemKernels() {
+  auto k = std::make_shared<ModemKernels>();
+  k->acorr = scheduleKernel(AcorrKernel::build()).config;
+  k->cfo = scheduleKernel(CfoCorrKernel::build()).config;
+  k->fshift = scheduleKernel(FshiftKernel::build()).config;
+  k->xcorr = scheduleKernel(XcorrKernel::build()).config;
+  k->bitrev = scheduleKernel(BitrevKernel::build()).config;
+  k->stage1 = scheduleKernel(FftStage1Kernel::build()).config;
+  for (int s = 2; s <= 6; ++s)
+    k->stage[static_cast<std::size_t>(s - 2)] =
+        scheduleKernel(FftStageKernel::build(fftStageTables(s, 4).halfBytes,
+                                             /*scaleX8=*/s == 6))
+            .config;
+  k->interleave = scheduleKernel(InterleaveKernel::build()).config;
+  k->chest = scheduleKernel(ChestKernel::build()).config;
+  k->eqNorm = scheduleKernel(EqCoeffKernel::buildNorm()).config;
+  k->eqApply = scheduleKernel(EqCoeffKernel::buildApply()).config;
+  k->comp = scheduleKernel(CompKernel::build()).config;
+  k->demod64 = scheduleKernel(DemodKernel::build()).config;
+  k->demod16 = scheduleKernel(DemodKernel::build16()).config;
+  return k;
+}
+
 ModemOnProcessor buildModemProgram(const dsp::ModemConfig& cfg) {
+  return buildModemProgram(cfg, mapModemKernels());
+}
+
+ModemOnProcessor buildModemProgram(const dsp::ModemConfig& cfg,
+                                   std::shared_ptr<const ModemKernels> kernels) {
   ADRES_CHECK(cfg.mod == dsp::Modulation::kQam64 ||
                   cfg.mod == dsp::Modulation::kQam16,
               "the mapped demod kernel implements QAM-16 and QAM-64 only");
   const int numSymbols = cfg.numSymbols;
   ADRES_CHECK(numSymbols >= 2 && numSymbols % 2 == 0,
               "data symbols come in pairs");
+  ADRES_CHECK(kernels != nullptr, "buildModemProgram needs a mapped kernel set");
   Emitter e;
   e.numSymbols = numSymbols;
   e.mod = cfg.mod;
   e.emitTablesAndLayout();
+  e.addKernels(*kernels);
   e.emitPrologue();
   e.emitDetection();
   e.emitCoarseCfo();
@@ -691,6 +718,7 @@ ModemOnProcessor buildModemProgram(const dsp::ModemConfig& cfg) {
   out.layout = e.L;
   out.config = cfg;
   out.numSymbols = numSymbols;
+  out.kernels = std::move(kernels);
   // The per-tier plan sets are built lazily through plansFor(); the cache
   // is shared by every copy of this struct (the RxSession program cache
   // hands out copies, so all packet-farm workers converge on one set per

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <atomic>
+#include <memory>
 #include <vector>
 
 #include "core/processor.hpp"
@@ -35,6 +36,20 @@ struct ModemLayout {
   u32 scratch = 0;
 };
 
+/// The receiver's mapped CGA kernels: every Table 2 kernel plus the demod
+/// for both modulations.  No kernel DFG depends on the ModemConfig, so one
+/// set serves every configuration — modemProgramFor (platform/) keeps one
+/// per process and maps the DFGs once.
+struct ModemKernels {
+  KernelConfig acorr, cfo, fshift, xcorr, bitrev, stage1;
+  std::array<KernelConfig, 5> stage;  ///< FFT radix-2 stages 2..6
+  KernelConfig interleave, chest, eqNorm, eqApply, comp;
+  KernelConfig demod64, demod16;
+};
+
+/// Maps every receiver kernel from scratch (scheduleKernel on each DFG).
+std::shared_ptr<const ModemKernels> mapModemKernels();
+
 namespace detail {
 struct ModemPlanCache;  // modem_program.cpp: per-tier pre-decoded plan sets
 }
@@ -44,6 +59,9 @@ struct ModemOnProcessor {
   ModemLayout layout;
   dsp::ModemConfig config;  ///< the configuration the program was built for
   int numSymbols = 0;       ///< == config.numSymbols; must be even (pairs)
+  /// The mapped kernel set the program's kernels were copied from (shared
+  /// by every program built from the same set).
+  std::shared_ptr<const ModemKernels> kernels;
   /// Per-tier plan cache created by buildModemProgram and shared by copies
   /// of this struct; plansFor() is the only accessor.
   std::shared_ptr<detail::ModemPlanCache> planCache;
@@ -55,10 +73,14 @@ struct ModemOnProcessor {
   std::shared_ptr<const ProgramPlans> plansFor(ExecTier tier) const;
 };
 
-/// Builds the receiver program for a modem configuration (QAM-64 only —
-/// the mapped demod kernel implements the paper's 100 Mbps+ operating
-/// point).  `cfg.numSymbols` must be even: the receiver merges symbol
-/// pairs.
+/// Builds the receiver program for a modem configuration (QAM-16 or
+/// QAM-64, the modulations the mapped demod kernels implement) around an
+/// already-mapped kernel set.  `cfg.numSymbols` must be even: the receiver
+/// merges symbol pairs.
+ModemOnProcessor buildModemProgram(const dsp::ModemConfig& cfg,
+                                   std::shared_ptr<const ModemKernels> kernels);
+
+/// Cold build: maps a fresh kernel set, then builds the program from it.
 ModemOnProcessor buildModemProgram(const dsp::ModemConfig& cfg);
 
 /// Per-run knobs for runModemOnProcessor, replacing its former hard-coded

@@ -1,5 +1,6 @@
 // BoundedQueue: FIFO semantics, backpressure blocking, close-then-drain
-// shutdown and multi-producer/multi-consumer accounting.
+// shutdown and multi-producer/multi-consumer accounting; BufferPool:
+// storage reuse and the idle-buffer cap.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "platform/buffer_pool.hpp"
 #include "platform/packet_queue.hpp"
 
@@ -139,6 +141,49 @@ TEST(BufferPool, RecyclesReleasedStorage) {
 
   pool.release(std::vector<int>{});  // capacity-0: nothing worth keeping
   EXPECT_EQ(pool.idle(), 0u);
+}
+
+TEST(BufferPool, ForeignBuffersBeyondTheCapAreFreed) {
+  // A submitter that brings fresh buffers and never acquires (the cell
+  // layer) must not grow the pool: nothing was ever handed out, so
+  // nothing is kept.
+  BufferPool<int> pool;
+  for (int i = 0; i < 1000; ++i) {
+    pool.release(std::vector<int>(64, i));
+    ASSERT_EQ(pool.idle(), 0u);
+  }
+  EXPECT_EQ(pool.cap(), 0u);
+}
+
+TEST(BufferPool, ClosedLoopKeepsEveryBufferAndNeverExceedsTheCap) {
+  // A steady-state loop with k buffers in flight: after the first round
+  // every acquire is served from the pool (the cap stops growing), while
+  // extra foreign releases are dropped so idle() never exceeds cap().
+  BufferPool<int> pool;
+  Rng rng(7);
+  for (int round = 0; round < 50; ++round) {
+    const std::size_t k = 1 + rng.below(8);
+    std::vector<std::vector<int>> out;
+    for (std::size_t i = 0; i < k; ++i) {
+      out.push_back(pool.acquire());
+      out.back().resize(32);
+    }
+    for (auto& b : out) {
+      pool.release(std::move(b));
+      ASSERT_LE(pool.idle(), pool.cap());
+      if (rng.bit()) pool.release(std::vector<int>(32));  // foreign extra
+      ASSERT_LE(pool.idle(), pool.cap());
+    }
+    EXPECT_EQ(pool.idle(), pool.cap()) << "every loop buffer came back";
+    EXPECT_LE(pool.cap(), 8u) << "cap tracks the most buffers in flight";
+  }
+  const std::size_t cap = pool.cap();
+  std::vector<std::vector<int>> out;
+  for (std::size_t i = 0; i < cap; ++i) {
+    out.push_back(pool.acquire());
+    EXPECT_GE(out.back().capacity(), 32u) << "served from the pool";
+  }
+  EXPECT_EQ(pool.cap(), cap) << "no fresh buffer while the loop fits the cap";
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   int lingerMs = 0;
   std::string metricsJsonPath;
   double sentinelRate = -1.0;  // <0 = sentinel off
-  std::string sentinelTierName = "interpreted";
+  std::string sentinelTierName = "reference";
   std::string sloSpecsText;
   std::string postmortemDir;
   double overheadMaxPct = -1.0;  // <0 = no overhead gate
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
             "divergence-sentinel sample rate in [0,1] (1 audits everything)",
             &sentinelRate);
   args.flag("sentinel-tier", "TIER",
-            "held-back shadow tier: reference | interpreted | native",
+            "held-back shadow tier: reference | native",
             &sentinelTierName);
   args.flag("slo", "SPECS",
             "SLO spec list, e.g. 'p99: p99_latency_us < 50000; "

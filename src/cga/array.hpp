@@ -13,7 +13,6 @@
 #pragma once
 
 #include <array>
-
 #include <vector>
 
 #include "common/activity.hpp"
@@ -64,12 +63,11 @@ class CgaArray {
 
   /// Executes a pre-decoded plan, dispatching on the tier it was built for
   /// (DESIGN.md §14): kReference replays the original per-cycle loop over
-  /// the plan's source config, kInterpreted runs the dense-op-list loop,
-  /// kNative runs the template-specialized loop with whole-launch batched
-  /// statistics and no-retire cycle skipping.  All tiers are bit- and
-  /// cycle-exact with each other (tests/cga/fastpath_ab_test); a kNative
-  /// plan with a trace sink attached runs the interpreted loop, which
-  /// emits the identical event stream.
+  /// the plan's source config, kNative runs the template-specialized loop
+  /// with whole-launch batched statistics and no-retire cycle skipping.
+  /// Both tiers are bit- and cycle-exact with each other
+  /// (tests/cga/fastpath_ab_test); a kNative plan with a trace sink
+  /// attached runs the reference loop, which emits the per-op events.
   CgaRunResult run(const KernelPlan& plan, u32 trips, u64 traceBase = 0,
                    u32 kernelId = 0);
 
@@ -101,13 +99,8 @@ class CgaArray {
 
   Word readSrc(int fu, const SrcSel& s, i32 imm);
 
-  /// kInterpreted tier: the dense-op-list loop (guarded edges, batched
-  /// steady window, commit wheel).
-  CgaRunResult runInterpreted(const KernelPlan& plan, u32 trips, u64 traceBase,
-                              u32 kernelId);
-
   /// kReference tier: the original per-cycle re-classification loop with a
-  /// sorted pending queue — the equivalence oracle for the A/B/C tests.
+  /// sorted pending queue — the equivalence oracle for the tier tests.
   CgaRunResult runReferenceLoop(const KernelConfig& k, u32 trips,
                                 u64 traceBase, u32 kernelId);
 
@@ -115,12 +108,6 @@ class CgaArray {
   /// pointers once per launch, then runs the template-specialized loop.
   CgaRunResult runNative(const KernelPlan& plan, u32 trips, u64 traceBase);
   void resolveNative(const KernelPlan& plan);
-
-  /// Commit wheel: slot g & kCgaWheelMask holds the writes due at logical
-  /// cycle g, in issue order (the deterministic commit order of the sorted
-  /// reference queue).  Member state so slot capacity persists across
-  /// launches; every run leaves all slots empty.
-  std::array<std::vector<PendingWrite>, kCgaWheelSlots> wheel_;
 
   /// Native-tier launch scratch: resolved ops and the flat commit wheel
   /// (kCgaWheelSlots x maxCommitDepth, slot-major).  Member state so the

@@ -9,8 +9,7 @@
 namespace adres {
 
 KernelPlan buildKernelPlan(const KernelConfig& k, ExecTier tier) {
-  ADRES_CHECK(tier == ExecTier::kReference || tier == ExecTier::kInterpreted ||
-                  tier == ExecTier::kNative,
+  ADRES_CHECK(tier == ExecTier::kReference || tier == ExecTier::kNative,
               "unknown exec tier " << static_cast<int>(tier)
                                    << " for kernel '" << k.name << "'");
   k.validate();
@@ -64,10 +63,6 @@ KernelPlan buildKernelPlan(const KernelConfig& k, ExecTier tier) {
       }
       minSched = std::min(minSched, static_cast<u32>(f.schedTime));
       maxSched = std::max(maxSched, static_cast<u32>(f.schedTime));
-      ++cp.opCount;
-      if (op.isMov) ++cp.movCount;
-      if (op.isSimdOp) ++cp.simdCount;
-      cp.ops16Sum += op.ops16;
       cp.ops.push_back(op);
     }
   }

@@ -1,15 +1,15 @@
 // Decoded kernel plans: the per-KernelConfig pre-decode behind the
-// simulator's steady-state fast path.
+// simulator's native tier.
 //
-// The cycle-accurate array loop used to re-classify every FU op on every
-// logical cycle (isNop / opInfo / memImmScale / ops16PerInstr switch chains
-// across translation units) and re-test the software-pipeline squash
-// predicates per op.  A KernelPlan resolves all of that once per kernel:
-// per-context dense lists of the active ops with pre-decoded dispatch kind,
-// latency, memory width, load extension mode and immediate operands, plus
-// pre-summed per-context activity increments for the steady-state window
-// in which no op can be squashed.  Executing a plan is cycle-exact and
-// bit-exact with executing its KernelConfig (tests/cga/fastpath_ab_test).
+// The reference array loop re-classifies every FU op on every logical
+// cycle (isNop / opInfo / memImmScale / ops16PerInstr switch chains across
+// translation units) and re-tests the software-pipeline squash predicates
+// per op.  A KernelPlan resolves all of that once per kernel: per-context
+// dense lists of the active ops with pre-decoded dispatch kind, latency,
+// memory width, load extension mode and immediate operands, which
+// buildNativePlan lowers to the native loop.  Executing a plan is
+// cycle-exact and bit-exact with executing its KernelConfig
+// (tests/cga/fastpath_ab_test).
 #pragma once
 
 #include <memory>
@@ -56,17 +56,12 @@ struct PlanOp {
   Word immOperand = 0;
 };
 
-/// The active ops of one context slot plus the batched activity increments
-/// the steady-state loop applies per cycle instead of per op.
+/// The active ops of one context slot.
 struct ContextPlan {
   std::vector<PlanOp> ops;  ///< FU-ascending (the reference execution order)
-  u32 opCount = 0;
-  u32 movCount = 0;
-  u32 simdCount = 0;
-  u64 ops16Sum = 0;
 };
 
-/// Commit-wheel geometry of the array fast path.  Correctness needs
+/// Commit-wheel geometry of the native loop.  Correctness needs
 /// 2 * maxLatency <= kCgaWheelSlots (a slot is always drained before any
 /// push can wrap onto it); buildKernelPlan checks every op against it.
 inline constexpr u64 kCgaWheelSlots = 16;
@@ -84,13 +79,14 @@ struct PlanClassCount {
 
 /// A fully pre-decoded kernel: everything CgaArray::run needs, in dense
 /// per-context form.  A plan is built FOR an execution tier (DESIGN.md
-/// §14); CgaArray::run dispatches on it.  All tiers carry the decoded
+/// §14); CgaArray::run dispatches on it.  Both tiers carry the decoded
 /// sections below; kNative plans additionally carry the specialized
 /// NativePlan, and the source KernelConfig is retained so the kReference
-/// tier runs the original per-cycle loop through the same entry point.
+/// tier (and any traced launch) runs the original per-cycle loop through
+/// the same entry point.
 struct KernelPlan {
   std::string name;
-  ExecTier tier = ExecTier::kInterpreted;
+  ExecTier tier = ExecTier::kNative;
   int ii = 1;
   int schedLength = 1;
   /// Steady-state window: logical cycle g has no squashed op iff
@@ -109,14 +105,13 @@ struct KernelPlan {
 /// Pre-decodes `k` for `tier` (validating it, as the reference path does).
 /// An out-of-range tier throws SimError — tier selection fails loudly at
 /// plan build, never silently at launch.
-KernelPlan buildKernelPlan(const KernelConfig& k,
-                           ExecTier tier = ExecTier::kInterpreted);
+KernelPlan buildKernelPlan(const KernelConfig& k, ExecTier tier);
 
 /// Decoded plans of a whole program's kernel table, shared read-only
 /// between processors (the packet farm's workers share one instance the
 /// same way they share the mapped program).
 struct ProgramPlans {
-  ExecTier tier = ExecTier::kInterpreted;  ///< tier every plan was built for
+  ExecTier tier = ExecTier::kNative;  ///< tier every plan was built for
   std::vector<KernelPlan> kernels;
 };
 
@@ -125,8 +120,7 @@ struct ProgramPlans {
 /// sequencer reads back out of configuration memory after Processor::load
 /// (idempotent for kernels that already went through the binary path).
 std::shared_ptr<const ProgramPlans> buildProgramPlans(
-    const std::vector<KernelConfig>& kernels,
-    ExecTier tier = ExecTier::kInterpreted);
+    const std::vector<KernelConfig>& kernels, ExecTier tier);
 
 /// How a processor executes kernel launches: the tier plus an optional
 /// pre-built plan-cache handle (the packet farm shares one read-only

@@ -38,6 +38,7 @@ struct ActivityCounters {
   u64 cdrfCgaAccesses = 0;  ///< central-RF port events during kernel mode
 
   void reset() { *this = ActivityCounters{}; }
+  bool operator==(const ActivityCounters&) const = default;
 
   u64 totalCycles() const { return vliwCycles + cgaCycles + sleepCycles; }
   u64 totalOps() const { return vliwOps + cgaOps; }

@@ -2,8 +2,9 @@
 // validate the repo's JSON exporters in tests (Chrome trace,
 // adres.counters.v1, adres.metrics.v1, bench dumps) and to load
 // adres.campaign.v1 checkpoints for resumable campaigns.  Not a
-// general-purpose parser (\uXXXX escapes are accepted but collapsed
-// to '?').  Arrays and objects nest at most JsonParser::kMaxDepth deep:
+// general-purpose parser (\uXXXX escapes decode exactly for ASCII code
+// points and collapse to '?' otherwise).  Arrays and objects nest at most
+// JsonParser::kMaxDepth deep:
 // deeper input is rejected with the parser's normal error instead of
 // recursing until the stack overflows.
 #pragma once
@@ -145,10 +146,17 @@ class JsonParser {
           case 'r': v.str += '\r'; break;
           case 't': v.str += '\t'; break;
           case 'u': {
-            for (int i = 0; i < 4; ++i)
-              if (!std::isxdigit(static_cast<unsigned char>(get())))
-                fail("bad \\u escape");
-            v.str += '?';  // codepoint value irrelevant for these tests
+            unsigned cp = 0;
+            for (int i = 0; i < 4; ++i) {
+              const auto h = static_cast<unsigned char>(get());
+              if (!std::isxdigit(h)) fail("bad \\u escape");
+              cp = cp * 16 + static_cast<unsigned>(
+                                 std::isdigit(h) ? h - '0'
+                                                 : std::tolower(h) - 'a' + 10);
+            }
+            // jsonEscape only emits \u00XX for control bytes; wider
+            // code points are irrelevant here and collapse to '?'.
+            v.str += cp < 0x80 ? static_cast<char>(cp) : '?';
             break;
           }
           default: fail("bad escape");

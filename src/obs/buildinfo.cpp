@@ -1,5 +1,7 @@
 #include "obs/buildinfo.hpp"
 
+#include "common/json_write.hpp"
+
 #ifndef ADRES_VERSION
 #define ADRES_VERSION "0.0.0"
 #endif
@@ -26,16 +28,6 @@ std::string compilerId() {
 #else
   return "unknown";
 #endif
-}
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace

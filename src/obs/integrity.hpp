@@ -42,11 +42,12 @@ struct SentinelConfig {
   /// Mixed into the sampling hash; changing it selects a different (still
   /// deterministic) packet subset.
   u64 seed = 0x51DE'C0DEull;
-  /// Tier of the held-back shadow decoder.  Interpreted by default: it is
-  /// an independent execution path from the native tier and ~3.5x cheaper
-  /// than reference, which keeps 1% sampling under the farm's 5% overhead
-  /// budget.
-  ExecTier shadowTier = ExecTier::kInterpreted;
+  /// Tier of the held-back shadow decoder.  Reference by default: it is
+  /// the semantic oracle, an execution path independent of the native
+  /// tier.  A reference decode costs about 3-4x a native one (16-symbol
+  /// QAM-64, Release; DESIGN.md §16), so 1% sampling adds an expected
+  /// 3-4% of decode CPU, inside the farm's 5% overhead budget.
+  ExecTier shadowTier = ExecTier::kReference;
   /// Write an adres.postmortem.v1 bundle (via the bundle hook) per
   /// divergence.
   bool bundleOnDivergence = true;

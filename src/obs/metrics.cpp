@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/json_write.hpp"
+
 namespace adres::obs {
 namespace {
 
@@ -16,7 +18,9 @@ std::string fmt(double v) {
   return buf;
 }
 
-std::string jsonEscape(const std::string& s) {
+/// Prometheus label-value escaping.  The exposition format defines only
+/// \\, \" and \n; control bytes are dropped.
+std::string promEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {
@@ -43,7 +47,7 @@ std::string promLabels(const Labels& labels) {
   std::string out = "{";
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (i) out += ',';
-    out += promName(labels[i].first) + "=\"" + jsonEscape(labels[i].second) +
+    out += promName(labels[i].first) + "=\"" + promEscape(labels[i].second) +
            '"';
   }
   out += '}';
@@ -157,14 +161,14 @@ void MetricsSnapshot::writePrometheus(
          << promLabelsWith(s.labels, "le", fmt(le)) << ' '
          << histCumBelow(s.hist, b);
       if (const MetricExemplar* e = exemplarFor(le, false))
-        os << " # {trace_id=\"" << jsonEscape(e->traceId) << "\"} "
+        os << " # {trace_id=\"" << promEscape(e->traceId) << "\"} "
            << fmt(e->value);
       os << '\n';
     }
     os << name << "_bucket" << promLabelsWith(s.labels, "le", "+Inf") << ' '
        << s.hist.count;
     if (const MetricExemplar* e = exemplarFor(0, true))
-      os << " # {trace_id=\"" << jsonEscape(e->traceId) << "\"} "
+      os << " # {trace_id=\"" << promEscape(e->traceId) << "\"} "
          << fmt(e->value);
     os << '\n';
     os << name << "_sum" << promLabels(s.labels) << ' '

@@ -6,21 +6,12 @@
 
 #include "common/check.hpp"
 #include "common/json_min.hpp"
+#include "common/json_write.hpp"
 #include "obs/buildinfo.hpp"
 #include "trace/export.hpp"
 
 namespace adres::obs {
 namespace {
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  return out;
-}
 
 u64 hexToU64(const std::string& s) {
   ADRES_CHECK(!s.empty() && s.size() <= 16, "bad hex u64 '" << s << '\'');

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/json_write.hpp"
 
 namespace adres::obs {
 namespace {
@@ -358,8 +359,9 @@ void SloEngine::writeJson(std::ostream& os) const {
      << totalEvaluations() << ",\n  \"slos\": [";
   for (std::size_t i = 0; i < sts.size(); ++i) {
     const SloStatus& st = sts[i];
-    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << st.spec.name
-       << "\", \"spec\": \"" << sloSpecToString(st.spec) << "\", \"metric\": \""
+    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << jsonEscape(st.spec.name)
+       << "\", \"spec\": \"" << jsonEscape(sloSpecToString(st.spec))
+       << "\", \"metric\": \""
        << sloKindName(st.spec.kind) << "\", \"threshold\": "
        << fmt(st.spec.threshold) << ", \"for\": " << st.spec.forCount
        << ", \"value\": " << fmt(st.value)

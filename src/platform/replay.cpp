@@ -46,12 +46,12 @@ ReplayReport replayPostmortem(const obs::PostmortemBundle& b) {
   ADRES_CHECK(!b.rx[0].empty() && !b.rx[1].empty(),
               "bundle carries no rx payload — nothing to replay");
   ADRES_CHECK(b.primary.valid, "bundle records no primary decode");
+  const ExecTier tier = parseExecTier(b.execTier);
   dsp::ModemConfig cfg;
   cfg.mod = static_cast<dsp::Modulation>(b.modulation);
   cfg.numSymbols = b.numSymbols;
   const std::shared_ptr<const sdr::ModemOnProcessor> modem =
       modemProgramFor(cfg);
-  const ExecTier tier = parseExecTier(b.execTier);
 
   ReplayReport rep;
   rep.replay = decodeOnce(*modem, b, tier, 0);

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/check.hpp"
+#include "common/json_write.hpp"
 #include "isa/opcodes.hpp"
 
 namespace adres {
@@ -44,29 +45,6 @@ const char* stallCauseName(StallCause c) {
 
 namespace adres::trace {
 namespace {
-
-/// JSON string escaping for the small label set we emit.
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string lookup(const std::vector<std::string>& names, u32 idx,
                    const char* fallbackPrefix) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/json_write.hpp"
 #include "core/processor.hpp"
 
 namespace adres::trace {
@@ -19,16 +20,6 @@ std::string kernelName(const Processor& proc, u32 id) {
   if (plans && id < plans->kernels.size() && !plans->kernels[id].name.empty())
     return plans->kernels[id].name;
   return "kernel" + std::to_string(id);
-}
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  return out;
 }
 
 /// Folded-stack frames must not contain the separators (';' and ' ').

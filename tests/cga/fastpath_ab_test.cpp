@@ -1,6 +1,6 @@
-// A/B/C equivalence of the three execution tiers (DESIGN.md §14): for
-// every Table 2 fixture kernel, plans built at kReference, kInterpreted
-// and kNative must execute identically across trip counts that exercise
+// A/B equivalence of the two execution tiers (DESIGN.md §14): for every
+// Table 2 fixture kernel, plans built at kReference and kNative must
+// execute identically across trip counts that exercise
 // the empty run, prologue/epilogue-only runs (no steady-state window) and
 // the canonical steady-state run.  Equivalence means identical
 // CgaRunResult, identical activity/memory statistics and an identical
@@ -77,10 +77,8 @@ void expectEqual(const AbSnapshot& ref, const AbSnapshot& fast) {
 TEST(CgaExecTierAbc, TiersMatchOnEveryFixtureKernel) {
   for (const KernelCase& c : tableTwoKernelCases()) {
     const KernelPlan ref = buildKernelPlan(c.config, ExecTier::kReference);
-    const KernelPlan interp = buildKernelPlan(c.config, ExecTier::kInterpreted);
     const KernelPlan native = buildKernelPlan(c.config, ExecTier::kNative);
     ASSERT_EQ(ref.tier, ExecTier::kReference);
-    ASSERT_EQ(interp.tier, ExecTier::kInterpreted);
     ASSERT_EQ(native.tier, ExecTier::kNative);
     ASSERT_EQ(ref.native, nullptr);
     ASSERT_NE(native.native, nullptr);
@@ -92,13 +90,9 @@ TEST(CgaExecTierAbc, TiersMatchOnEveryFixtureKernel) {
       const AbSnapshot a = runCase(c, trips, [&](Fabric& f, u32 t) {
         return f.array.run(ref, t);
       });
-      const AbSnapshot b = runCase(c, trips, [&](Fabric& f, u32 t) {
-        return f.array.run(interp, t);
-      });
       const AbSnapshot n = runCase(c, trips, [&](Fabric& f, u32 t) {
         return f.array.run(native, t);
       });
-      expectEqual(a, b);
       expectEqual(a, n);
     }
   }
@@ -130,8 +124,9 @@ TEST(CgaExecTierAbc, UnknownTierThrowsAtPlanBuild) {
   EXPECT_THROW(buildKernelPlan(cases.front().config, static_cast<ExecTier>(7)),
                SimError);
   EXPECT_THROW(parseExecTier("turbo"), SimError);
+  // The retired middle tier's name is rejected like any other unknown.
+  EXPECT_THROW(parseExecTier("interpreted"), SimError);
   EXPECT_EQ(parseExecTier("reference"), ExecTier::kReference);
-  EXPECT_EQ(parseExecTier("interpreted"), ExecTier::kInterpreted);
   EXPECT_EQ(parseExecTier("native"), ExecTier::kNative);
 }
 

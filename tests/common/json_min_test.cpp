@@ -2,6 +2,8 @@
 // rejected with the parser's normal error (std::runtime_error) instead of
 // overflowing the stack — 200k nested '[' used to segfault.  The file
 // loaders built on the parser (campaign checkpoints) inherit the limit.
+// Also pins that the shared writer-side jsonEscape round-trips losslessly
+// through the parser.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -10,6 +12,7 @@
 
 #include "campaign/checkpoint.hpp"
 #include "common/json_min.hpp"
+#include "common/json_write.hpp"
 
 namespace adres::json {
 namespace {
@@ -70,6 +73,15 @@ TEST(JsonParser, ErrorNamesTheOffsetAndTheLimit) {
 TEST(JsonParser, CheckpointLoaderRejectsDeepNesting) {
   std::istringstream is("{\"schema\":" + nestedArrays(200000) + "}");
   EXPECT_ANY_THROW(campaign::loadCheckpoint(is, campaign::SweepSpec{}));
+}
+
+TEST(JsonParser, EscapedStringsRoundTrip) {
+  const std::string raw =
+      std::string("q\"b\\n\nt\tc") + '\x01' + "\x1f|\xc3\xa9";
+  const std::string doc = "{\"s\": \"" + jsonEscape(raw) + "\"}";
+  EXPECT_EQ(jsonEscape(raw),
+            "q\\\"b\\\\n\\nt\\tc\\u0001\\u001f|\xc3\xa9");
+  EXPECT_EQ(JsonParser(doc).parse().at("s").str, raw);
 }
 
 }  // namespace

@@ -6,10 +6,9 @@
 // every value bit-for-bit; an intentional timing-model change must
 // regenerate the fixture with timing_golden_dump and justify the diff.
 //
-// The fixture is tier-independent: every ExecTier (DESIGN.md §14) is swept
-// against the SAME committed values, so the reference loop, the
-// interpreted plan loop and the native specialized loop are all pinned to
-// one timing model.
+// The fixture is tier-independent: both ExecTiers (DESIGN.md §14) are swept
+// against the SAME committed values, so the reference loop and the native
+// specialized loop are pinned to one timing model.
 #include <gtest/gtest.h>
 
 #include "support/timing_golden_common.hpp"
@@ -19,8 +18,7 @@ namespace {
 
 #include "timing_golden.inc"
 
-constexpr ExecTier kAllTiers[] = {ExecTier::kReference, ExecTier::kInterpreted,
-                                  ExecTier::kNative};
+constexpr ExecTier kAllTiers[] = {ExecTier::kReference, ExecTier::kNative};
 
 TEST(TimingGolden, KernelRowsMatchFixtureOnEveryTier) {
   for (ExecTier tier : kAllTiers) {
@@ -66,13 +64,9 @@ void expectModemMatchesFixture(const ModemGolden& m) {
 }
 
 // One test per tier (the modem run dominates suite wall time; keep the
-// three sweeps schedulable in parallel by ctest).
+// sweeps schedulable in parallel by ctest).
 TEST(TimingGolden, ModemRunMatchesFixtureReference) {
   expectModemMatchesFixture(collectModemGolden(ExecTier::kReference));
-}
-
-TEST(TimingGolden, ModemRunMatchesFixtureInterpreted) {
-  expectModemMatchesFixture(collectModemGolden(ExecTier::kInterpreted));
 }
 
 TEST(TimingGolden, ModemRunMatchesFixtureNative) {

@@ -178,7 +178,7 @@ TEST(Sentinel, AuditRecordsDivergencesAndCallsHooks) {
   EXPECT_EQ(ev->tag, 42u);
   EXPECT_EQ(ev->worker, 2);
   EXPECT_EQ(ev->traceId, 1234u);
-  EXPECT_EQ(ev->shadowTier, "interpreted");
+  EXPECT_EQ(ev->shadowTier, "reference");
   EXPECT_EQ(ev->bundlePath, "bundles/b0.json");
   EXPECT_EQ(sentinel.sampled(), 2u);
   EXPECT_EQ(sentinel.divergences(), 1u);

@@ -1,8 +1,10 @@
 // Exec-tier equivalence at the platform layer (DESIGN.md §14): a packet
-// farm run at each ExecTier must produce bit- and cycle-exact outcomes,
+// farm run at either ExecTier must produce bit- and cycle-exact outcomes,
 // identical merged adres.counters.v1 totals and an identical
 // adres.profile.v1 cycle-attribution partition — the tiers differ only in
-// host speed.  Also pins that a tier/plan mismatch fails loudly at load.
+// host speed.  Also pins that a traced decode writes the same trace and
+// counter bytes on both tiers, and that a tier/plan mismatch fails loudly
+// at load.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -10,6 +12,8 @@
 
 #include "dsp/channel.hpp"
 #include "platform/packet_farm.hpp"
+#include "trace/export.hpp"
+#include "trace/telemetry.hpp"
 
 namespace adres::platform {
 namespace {
@@ -65,31 +69,79 @@ TEST(ExecTierFarm, AllTiersAreBitAndCycleExact) {
   for (int i = 0; i < 4; ++i) waves.push_back(makeWave(cfg, i));
 
   const TierRun ref = runFarmAt(ExecTier::kReference, waves);
-  const TierRun interp = runFarmAt(ExecTier::kInterpreted, waves);
   const TierRun native = runFarmAt(ExecTier::kNative, waves);
 
   ASSERT_EQ(ref.outs.size(), waves.size());
-  for (const TierRun* other : {&interp, &native}) {
-    ASSERT_EQ(other->outs.size(), ref.outs.size());
-    for (std::size_t i = 0; i < ref.outs.size(); ++i) {
-      const RxOutcome& a = ref.outs[i];
-      const RxOutcome& b = other->outs[i];
-      SCOPED_TRACE("packet " + std::to_string(i));
-      EXPECT_TRUE(b.result.halted());
-      EXPECT_EQ(a.result.detected, b.result.detected);
-      EXPECT_EQ(a.result.ltfStart, b.result.ltfStart);
-      EXPECT_EQ(a.result.bits, b.result.bits);
-      EXPECT_EQ(a.result.cycles, b.result.cycles);
-    }
-    // Merged adres.counters.v1 totals (activity, memory, RF, icache,
-    // config-memory stats across every worker) are identical.
-    EXPECT_EQ(ref.stats.counters, other->stats.counters);
-    EXPECT_EQ(ref.stats.groups, other->stats.groups);
-    // The adres.profile.v1 cycle-attribution partition — per-region and
-    // per-(region, kernel) issue/idle/stall/overhead splits — is identical
-    // down to the serialized document.
-    EXPECT_EQ(ref.profileJson, other->profileJson);
+  ASSERT_EQ(native.outs.size(), ref.outs.size());
+  for (std::size_t i = 0; i < ref.outs.size(); ++i) {
+    const RxOutcome& a = ref.outs[i];
+    const RxOutcome& b = native.outs[i];
+    SCOPED_TRACE("packet " + std::to_string(i));
+    EXPECT_TRUE(b.result.halted());
+    EXPECT_EQ(a.result.detected, b.result.detected);
+    EXPECT_EQ(a.result.ltfStart, b.result.ltfStart);
+    EXPECT_EQ(a.result.bits, b.result.bits);
+    EXPECT_EQ(a.result.cycles, b.result.cycles);
   }
+  // Merged adres.counters.v1 totals (activity, memory, RF, icache,
+  // config-memory stats across every worker) are identical.
+  EXPECT_EQ(ref.stats.counters, native.stats.counters);
+  EXPECT_EQ(ref.stats.groups, native.stats.groups);
+  // The adres.profile.v1 cycle-attribution partition — per-region and
+  // per-(region, kernel) issue/idle/stall/overhead splits — is identical
+  // down to the serialized document.
+  EXPECT_EQ(ref.profileJson, native.profileJson);
+}
+
+struct TracedDecode {
+  std::string chrome, jsonl, counters;
+  u64 dropped = 0;
+};
+
+// One traced 8-symbol QAM-64 decode at `tier`, serialized through every
+// trace/counter writer.
+TracedDecode tracedDecodeAt(ExecTier tier) {
+  dsp::ModemConfig cfg = smallConfig();
+  cfg.numSymbols = 8;
+  const auto rx = makeWave(cfg, 0);
+  const auto modem = modemProgramFor(cfg);
+  Processor proc;
+  RingBufferSink ring(1u << 16);
+  sdr::RxRunOptions opts;
+  opts.exec.tier = tier;
+  opts.trace = &ring;
+  const sdr::ProcessorRxResult res =
+      sdr::runModemOnProcessor(proc, *modem, rx, opts);
+  EXPECT_TRUE(res.halted());
+
+  trace::TraceNames names;
+  for (const KernelConfig& k : proc.program().kernels)
+    names.kernels.push_back(k.name);
+  names.regions = proc.program().regionNames;
+  const std::vector<TraceEvent> events = ring.events();
+  TracedDecode d;
+  std::ostringstream chrome, jsonl, counters;
+  trace::writeChromeTrace(events, chrome, names);
+  trace::writeJsonl(events, jsonl);
+  trace::writeCountersJson(proc, counters);
+  d.chrome = chrome.str();
+  d.jsonl = jsonl.str();
+  d.counters = counters.str();
+  d.dropped = ring.dropped();
+  return d;
+}
+
+// A traced native run must emit exactly the reference loop's event stream
+// and counters: the Chrome trace, the JSONL stream and the counter dump are
+// byte-identical.
+TEST(ExecTierTrace, TracedDecodeBytesMatchAcrossTiers) {
+  const TracedDecode ref = tracedDecodeAt(ExecTier::kReference);
+  const TracedDecode native = tracedDecodeAt(ExecTier::kNative);
+  EXPECT_EQ(ref.dropped, 0u);
+  EXPECT_FALSE(ref.jsonl.empty());
+  EXPECT_TRUE(ref.chrome == native.chrome) << "Chrome trace bytes differ";
+  EXPECT_TRUE(ref.jsonl == native.jsonl) << "JSONL trace bytes differ";
+  EXPECT_TRUE(ref.counters == native.counters) << "counter dump bytes differ";
 }
 
 TEST(ExecTierFarm, MismatchedPolicyTierFailsLoudlyAtLoad) {
@@ -98,7 +150,7 @@ TEST(ExecTierFarm, MismatchedPolicyTierFailsLoudlyAtLoad) {
   Processor proc;
   ExecPolicy pol;
   pol.tier = ExecTier::kNative;
-  pol.plans = modem->plansFor(ExecTier::kInterpreted);
+  pol.plans = modem->plansFor(ExecTier::kReference);
   EXPECT_THROW(proc.load(modem->program, pol), SimError);
 }
 

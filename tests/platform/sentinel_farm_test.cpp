@@ -6,8 +6,12 @@
 // surfaces must behave.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "dsp/channel.hpp"
@@ -114,7 +118,7 @@ TEST(SentinelFarm, CatchesInjectedBitFlipsWithAReplayableBundle) {
     EXPECT_EQ(ev.kind, obs::IntegrityEvent::Kind::kBits);
     EXPECT_TRUE(ev.bitsDiverged);
     EXPECT_GT(ev.bitErrors, 0u);
-    EXPECT_EQ(ev.shadowTier, "interpreted");
+    EXPECT_EQ(ev.shadowTier, "reference");
     ASSERT_FALSE(ev.bundlePath.empty());
     EXPECT_TRUE(fs::exists(ev.bundlePath));
   }
@@ -134,6 +138,44 @@ TEST(SentinelFarm, CatchesInjectedBitFlipsWithAReplayableBundle) {
   EXPECT_TRUE(rep.faultReproducesPrimary);
   EXPECT_TRUE(rep.consistent) << rep.verdict;
   EXPECT_NE(rep.verdict.find("CONFIRMED"), std::string::npos) << rep.verdict;
+}
+
+// A bundle recorded on the retired `interpreted` tier names a tier that no
+// longer exists: replay refuses it loudly, in-process and through the
+// postmortem_replay CLI (exit 2 with an error line), and never crashes.
+TEST(SentinelFarm, RetiredTierBundleIsRejectedCleanly) {
+  const dsp::ModemConfig cfg = smallConfig();
+  obs::PostmortemBundle b;
+  b.trigger = "divergence";
+  b.reason = "recorded on a retired tier";
+  b.modulation = static_cast<int>(cfg.mod);
+  b.numSymbols = cfg.numSymbols;
+  b.execTier = "interpreted";
+  b.rx = makePacket(cfg, 0).first;
+  b.primary.valid = true;
+  b.primary.stop = "halt";
+  EXPECT_THROW(replayPostmortem(b), SimError);
+
+  const std::string dir = freshDir("adres_retired_tier");
+  fs::create_directories(dir);
+  const std::string path = dir + "/bundle.json";
+  {
+    std::ofstream os(path, std::ios::binary);
+    obs::writePostmortemJson(b, os);
+  }
+  const std::string cmd =
+      std::string(ADRES_POSTMORTEM_REPLAY) + " '" + path + "' 2>&1";
+  FILE* p = popen(cmd.c_str(), "r");
+  ASSERT_NE(p, nullptr);
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, p)) out += buf;
+  const int status = pclose(p);
+  ASSERT_TRUE(WIFEXITED(status)) << out;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << out;
+  EXPECT_NE(out.find("error: unknown exec tier 'interpreted'"),
+            std::string::npos)
+      << out;
 }
 
 TEST(SentinelFarm, SloBreachCaptureFreezesTheSlowestPacket) {

@@ -62,7 +62,7 @@ obs::ResultRecord toRecord(const obs::DecodeSummary& s) {
 
 /// Builds and writes a planted-fault divergence bundle: one decodable
 /// QAM-64 packet, primary decoded with a seeded payload bit flip, shadow
-/// decoded clean on the interpreted tier.
+/// decoded clean on the reference tier.
 int makeDemo(const std::string& path) {
   dsp::ModemConfig cfg;
   cfg.mod = dsp::Modulation::kQam64;
@@ -83,7 +83,7 @@ int makeDemo(const std::string& path) {
   const obs::DecodeSummary primary = decodeSummary(
       primaryProc, *modem, rx, defaultExecTier(), kFaultSeed);
   const obs::DecodeSummary shadow = decodeSummary(
-      shadowProc, *modem, rx, ExecTier::kInterpreted, 0);
+      shadowProc, *modem, rx, ExecTier::kReference, 0);
 
   const std::optional<obs::IntegrityEvent> ev =
       obs::compareDecodes(primary, shadow);
@@ -101,7 +101,7 @@ int makeDemo(const std::string& path) {
   b.modulation = static_cast<int>(cfg.mod);
   b.numSymbols = cfg.numSymbols;
   b.execTier = execTierName(defaultExecTier());
-  b.shadowTier = execTierName(ExecTier::kInterpreted);
+  b.shadowTier = execTierName(ExecTier::kReference);
   b.maxCycles = sdr::RxRunOptions{}.maxCycles;
   b.faultInjectSeed = kFaultSeed;
   b.rx = rx;

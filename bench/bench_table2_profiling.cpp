@@ -2,16 +2,18 @@
 // MIMO-OFDM modem running on the simulated processor, plus the preamble /
 // data-phase totals and the real-time analysis of §4.
 //
-//   $ ./bench_table2_profiling [countersJsonPath]
+//   $ ./bench_table2_profiling [countersPath]
 //
 // When a path is given, the run's adres.counters.v1 dump is written there.
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "dsp/channel.hpp"
 #include "sdr/modem_program.hpp"
+#include "trace/counters.hpp"
 
 using namespace adres;
 using namespace adres::sdr;
@@ -68,9 +70,11 @@ int main(int argc, char** argv) {
 
   const ModemOnProcessor m = buildModemProgram(cfg);
   Processor proc;
-  RxRunOptions opts;
-  if (countersPath) opts.countersJsonPath = countersPath;
-  const ProcessorRxResult res = runModemOnProcessor(proc, m, rx, opts);
+  const ProcessorRxResult res = runModemOnProcessor(proc, m, rx);
+  if (countersPath) {
+    std::ofstream os(countersPath);
+    trace::writeCountersJson(proc, os);
+  }
   const int errs = dsp::bitErrors(res.bits, pkt.bits);
 
   printf("=== Table 2: profiling of the SDM-OFDM code ===\n");

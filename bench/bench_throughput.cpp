@@ -3,24 +3,26 @@
 // decode correctness, processing time vs air time, and the average power
 // of the run (the paper's 220 mW @ 100 Mbps+ operating point).
 //
-//   $ ./bench_throughput [countersJsonPath]
+//   $ ./bench_throughput [countersPath]
 //
 // When a path is given, the last packet's adres.counters.v1 dump is
 // written there (no file is written otherwise).
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "bench_args.hpp"
 #include "dsp/channel.hpp"
 #include "power/energy_model.hpp"
 #include "sdr/modem_program.hpp"
+#include "trace/counters.hpp"
 
 using namespace adres;
 
 int main(int argc, char** argv) {
   std::string countersJson;
   bench::Args args("bench_throughput", "100 Mbps+ operating-point check");
-  args.positional("countersJsonPath",
+  args.positional("countersPath",
                   "write the last packet's adres.counters.v1 dump here",
                   &countersJson);
   if (!args.parse(argc, argv)) return args.parseError() ? 1 : 0;
@@ -51,9 +53,11 @@ int main(int argc, char** argv) {
     dsp::MimoChannel ch(cc);
     const auto rx = ch.run(pkt.waveform);
     Processor proc;
-    sdr::RxRunOptions opts;
-    if (seed == seeds[2] && countersPath) opts.countersJsonPath = countersPath;
-    const sdr::ProcessorRxResult res = sdr::runModemOnProcessor(proc, m, rx, opts);
+    const sdr::ProcessorRxResult res = sdr::runModemOnProcessor(proc, m, rx);
+    if (seed == seeds[2] && countersPath) {
+      std::ofstream os(countersPath);
+      trace::writeCountersJson(proc, os);
+    }
     const int errs = dsp::bitErrors(res.bits, pkt.bits);
     ++packets;
     if (res.detected && errs == 0) ++packetsOk;

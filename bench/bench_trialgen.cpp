@@ -1,14 +1,14 @@
-// Trial-generation pipeline: scalar reference vs the vectorized SoA
-// frontend (src/dsp/frontend, DESIGN.md §15), per stage and end-to-end.
+// Trial-generation pipeline: the scalar reference functions vs the
+// vectorized SoA frontend (src/dsp/frontend, DESIGN.md §15), per stage,
+// plus the shipped configuration end to end.
 //
 // Stage rows time the TX synthesis (transmit vs transmitInto), the channel
-// (MimoChannel::run vs runInto) and the full generateTrial loop over the
-// same counter-derived seeds, verifying the vectorized bytes match the
-// scalar reference as they go.  The e2e rows run a fixed-trial QAM-64
-// waterfall cell through the whole campaign engine (producer -> farm ->
-// fold) once per frontend and report campaign trials/s — the number the
-// PR-8 ">= 1.5x" acceptance target is stated against.  Emits a
-// machine-readable BENCH_trialgen.json.
+// (MimoChannel::run vs runInto) and the full trial (transmit + run vs
+// generateTrial) over the same counter-derived seeds, verifying the
+// vectorized bytes match the scalar reference as they go.  The e2e row
+// runs a fixed-trial QAM-64 waterfall cell through the whole campaign
+// engine (producer -> farm -> fold) and reports campaign trials/s.  Emits
+// a machine-readable BENCH_trialgen.json.
 //
 //   $ ./bench_trialgen [stageTrials] [e2eTrials] [workers] [jsonPath] \
 //         [--producers N] [--snr DB]
@@ -32,14 +32,6 @@ struct StageRow {
   double scalarUs = 0, vectorUs = 0;  ///< per trial
   double speedup = 0;
   bool identical = true;  ///< vectorized bytes == scalar reference
-};
-
-struct E2eRow {
-  const char* label;
-  const char* frontend;
-  bool coldReload = false;
-  int producers = 0;
-  double wallMs = 0, trialsPerSec = 0;
 };
 
 double msSince(std::chrono::steady_clock::time_point t0) {
@@ -83,8 +75,7 @@ int main(int argc, char** argv) {
   args.positional("workers", "farm workers for the e2e rows", &workers);
   args.positional("jsonPath", "BENCH_trialgen.json path ('-' = skip)",
                   &jsonPath);
-  args.flag("producers", "N", "producer shards for the vectorized e2e row",
-            &producers);
+  args.flag("producers", "N", "producer shards for the e2e row", &producers);
   args.flag("snr", "DB", "waterfall-cell SNR", &snrDb);
   if (!args.parse(argc, argv)) return args.parseError() ? 1 : 0;
 
@@ -168,31 +159,33 @@ int main(int argc, char** argv) {
     dsp::TrialScratch scratch;
     std::vector<u8> bits;
     std::array<std::vector<cint16>, dsp::kNumRx> rx;
-    for (const dsp::FrontendKind kind :
-         {dsp::FrontendKind::kScalar, dsp::FrontendKind::kVectorized}) {
-      dsp::FrontendConfig fe;
-      fe.kind = kind;
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int t = 0; t < stageTrials; ++t) {
-        Rng txRng(500 + static_cast<u64>(t));
-        dsp::ChannelConfig cc = chBase;
-        cc.seed = 9000 + static_cast<u64>(t);
-        dsp::generateTrial(modem, cc, txRng, bits, rx, scratch, fe);
-      }
-      const double us = msSince(t0) * 1000.0 / stageTrials;
-      (kind == dsp::FrontendKind::kScalar ? r.scalarUs : r.vectorUs) = us;
+    auto t0 = std::chrono::steady_clock::now();
+    for (int t = 0; t < stageTrials; ++t) {
+      Rng txRng(500 + static_cast<u64>(t));
+      dsp::ChannelConfig cc = chBase;
+      cc.seed = 9000 + static_cast<u64>(t);
+      const dsp::TxPacket pkt = dsp::transmit(modem, txRng);
+      dsp::MimoChannel ch(cc);
+      (void)ch.run(pkt.waveform);
     }
+    r.scalarUs = msSince(t0) * 1000.0 / stageTrials;
+    t0 = std::chrono::steady_clock::now();
+    for (int t = 0; t < stageTrials; ++t) {
+      Rng txRng(500 + static_cast<u64>(t));
+      dsp::ChannelConfig cc = chBase;
+      cc.seed = 9000 + static_cast<u64>(t);
+      dsp::generateTrial(modem, cc, txRng, bits, rx, scratch);
+    }
+    r.vectorUs = msSince(t0) * 1000.0 / stageTrials;
     {
-      std::vector<u8> bitsB;
-      std::array<std::vector<cint16>, dsp::kNumRx> rxB;
       Rng ra(31), rb(31);
       dsp::ChannelConfig cc = chBase;
       cc.seed = 13;
-      dsp::FrontendConfig feS, feV;
-      feS.kind = dsp::FrontendKind::kScalar;
-      dsp::generateTrial(modem, cc, ra, bits, rx, scratch, feS);
-      dsp::generateTrial(modem, cc, rb, bitsB, rxB, scratch, feV);
-      r.identical = bits == bitsB && rx == rxB;
+      const dsp::TxPacket pkt = dsp::transmit(modem, ra);
+      dsp::MimoChannel ch(cc);
+      const auto rxRef = ch.run(pkt.waveform);
+      dsp::generateTrial(modem, cc, rb, bits, rx, scratch);
+      r.identical = pkt.bits == bits && rxRef == rx;
     }
     stages.push_back(r);
   }
@@ -208,57 +201,30 @@ int main(int argc, char** argv) {
   }
 
   // --- End-to-end: the campaign engine on the waterfall cell --------------
-  // Pay the one-time program build AND the exec-tier plan build before any
-  // timed row: a short untimed campaign warms every shared cache.
+  // Pay the one-time program build AND the exec-tier plan build before the
+  // timed run: a short untimed campaign warms every shared cache.
   (void)platform::modemProgramFor(modem);
   {
     campaign::CampaignConfig cfg;
     cfg.sweep = waterfallCell(snrDb, 8, 8);
     campaign::CampaignRunner(cfg).run();
   }
-  // Row 0 reproduces the pre-PR-8 baseline inside this binary: the scalar
-  // per-trial frontend and the cold full program load per decode.  The
-  // last row is the shipped configuration.  All rows decode identical
-  // trials (same counter-derived seeds), so trials/s is the only delta.
-  struct E2eCfg {
-    const char* label;
-    dsp::FrontendKind kind;
-    bool coldReload;
-    int producers;
-  };
-  const E2eCfg cfgs[] = {
-      {"before (scalar + cold reload)", dsp::FrontendKind::kScalar, true, 1},
-      {"scalar + warm reload", dsp::FrontendKind::kScalar, false, 1},
-      {"after (vectorized + warm reload)", dsp::FrontendKind::kVectorized,
-       false, producers},
-  };
-  std::vector<E2eRow> e2e;
-  for (const E2eCfg& ec : cfgs) {
+  double e2eWallMs = 0, e2eTrialsPerSec = 0;
+  {
     campaign::CampaignConfig cfg;
     cfg.sweep = waterfallCell(snrDb, static_cast<u64>(e2eTrials), 16);
     cfg.workers = workers;
-    cfg.producers = ec.producers;
-    cfg.frontend.kind = ec.kind;
-    cfg.run.coldReload = ec.coldReload;
+    cfg.producers = producers;
     campaign::CampaignRunner runner(cfg);
     const auto t0 = std::chrono::steady_clock::now();
     const campaign::CampaignResult res = runner.run();
-    E2eRow r;
-    r.label = ec.label;
-    r.frontend = dsp::frontendKindName(ec.kind);
-    r.coldReload = ec.coldReload;
-    r.producers = ec.producers;
-    r.wallMs = msSince(t0);
-    r.trialsPerSec = static_cast<double>(res.trialsRun) / (r.wallMs / 1000.0);
-    e2e.push_back(r);
-    printf("e2e %-34s producers %d: %8.1f ms  %7.1f trials/s\n", r.label,
-           r.producers, r.wallMs, r.trialsPerSec);
+    e2eWallMs = msSince(t0);
+    e2eTrialsPerSec =
+        static_cast<double>(res.trialsRun) / (e2eWallMs / 1000.0);
+    printf("e2e shipped configuration, producers %d: %8.1f ms  %7.1f "
+           "trials/s\n",
+           producers, e2eWallMs, e2eTrialsPerSec);
   }
-  const double e2eSpeedup = e2e.front().trialsPerSec > 0
-                                ? e2e.back().trialsPerSec /
-                                      e2e.front().trialsPerSec
-                                : 0;
-  printf("e2e after/before: %.2fx (target >= 1.5x)\n", e2eSpeedup);
 
   if (jsonPath != "-") {
     std::ofstream os(jsonPath);
@@ -275,17 +241,9 @@ int main(int argc, char** argv) {
          << ", \"speedup\": " << r.speedup
          << ", \"bit_identical\": " << (r.identical ? "true" : "false") << "}";
     }
-    os << "\n  ],\n  \"e2e\": [";
-    for (std::size_t i = 0; i < e2e.size(); ++i) {
-      const E2eRow& r = e2e[i];
-      os << (i ? ",\n" : "\n") << "    {\"label\": \"" << r.label
-         << "\", \"frontend\": \"" << r.frontend
-         << "\", \"cold_reload\": " << (r.coldReload ? "true" : "false")
-         << ", \"producers\": " << r.producers
-         << ", \"wall_ms\": " << r.wallMs
-         << ", \"trials_per_sec\": " << r.trialsPerSec << "}";
-    }
-    os << "\n  ],\n  \"e2e_speedup\": " << e2eSpeedup << "\n}\n";
+    os << "\n  ],\n  \"e2e\": {\"producers\": " << producers
+       << ", \"wall_ms\": " << e2eWallMs
+       << ", \"trials_per_sec\": " << e2eTrialsPerSec << "}\n}\n";
     printf("wrote %s\n", jsonPath.c_str());
   }
 

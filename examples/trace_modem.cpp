@@ -14,7 +14,7 @@
 #include "dsp/channel.hpp"
 #include "sdr/modem_program.hpp"
 #include "trace/export.hpp"
-#include "trace/telemetry.hpp"
+#include "trace/counters.hpp"
 
 using namespace adres;
 

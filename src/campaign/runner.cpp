@@ -18,7 +18,7 @@ double decodeEnergyNj(double avgPowerMw, u64 cycles) {
 
 CampaignRunner::CampaignRunner(CampaignConfig cfg)
     : cfg_(std::move(cfg)),
-      producer_(TrialProducerConfig{cfg_.producers, cfg_.frontend}) {
+      producer_(TrialProducerConfig{cfg_.producers}) {
   ADRES_CHECK(cfg_.workers >= 1, "campaign needs at least one worker");
   cells_ = expand(cfg_.sweep);
   results_.resize(cells_.size());

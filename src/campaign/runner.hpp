@@ -34,12 +34,9 @@ struct CampaignConfig {
   /// trial-order folding make results — and checkpoint bytes — identical
   /// for any producer count.
   int producers = 1;
-  /// TX + channel frontend implementation (scalar reference or the
-  /// vectorized default); bit-identical either way.
-  dsp::FrontendConfig frontend;
   /// Per-decode run options forwarded to every cell's farm (exec tier,
-  /// coldReload A/B switch, cycle budget).  All settings keep results
-  /// bit-exact; they steer host speed and observability only.
+  /// cycle budget).  All settings keep results bit-exact; they steer host
+  /// speed and observability only.
   sdr::RxRunOptions run;
   /// Checkpoint file rewritten (atomically) after every completed cell;
   /// empty disables checkpointing.

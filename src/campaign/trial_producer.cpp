@@ -32,12 +32,11 @@ void TrialProducer::generateOne(const CellSpec& cell, u32 cellTag, u64 trial,
   platform::RxJob job;
   job.id = trial;
   job.tag = cellTag;
-  // Recycled waveform storage: the vectorized frontend writes in place, so
+  // Recycled waveform storage: generateTrial writes in place, so
   // once the pool is warm the generate->submit->decode loop is closed.
   job.rx[0] = farm.acquireSampleBuffer();
   job.rx[1] = farm.acquireSampleBuffer();
-  dsp::generateTrial(cell.modem, cc, txRng, bits, job.rx, scratch,
-                     cfg_.frontend);
+  dsp::generateTrial(cell.modem, cc, txRng, bits, job.rx, scratch);
   farm.submit(std::move(job));
 }
 

@@ -12,9 +12,9 @@
 // bit: campaign results and checkpoint bytes are identical for any
 // producer count (tests/campaign/campaign_runner_test).
 //
-// Each shard owns a dsp::TrialScratch, so with the vectorized frontend the
-// whole generation side is allocation-free in steady state; rx payload
-// buffers come from the farm's recycling pool.
+// Each shard owns a dsp::TrialScratch, so the whole generation side is
+// allocation-free in steady state; rx payload buffers come from the farm's
+// recycling pool.
 #pragma once
 
 #include <atomic>
@@ -33,7 +33,6 @@ struct TrialProducerConfig {
   /// Generator shards; 1 generates inline on the calling thread (no
   /// threads are spawned).
   int producers = 1;
-  dsp::FrontendConfig frontend;
 };
 
 class TrialProducer {

@@ -1,5 +1,6 @@
 #include "cga/exec_tier.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -24,9 +25,17 @@ ExecTier parseExecTier(std::string_view s) {
 
 ExecTier defaultExecTier() {
   static const ExecTier tier = [] {
-    if (const char* env = std::getenv("ADRES_EXEC_TIER"); env && *env)
+    const char* env = std::getenv("ADRES_EXEC_TIER");
+    if (env == nullptr || *env == '\0') return ExecTier::kNative;
+    try {
       return parseExecTier(env);
-    return ExecTier::kNative;
+    } catch (const SimError& e) {
+      // First read from default member initializers and flag set-up that
+      // run before any main can catch: a bad environment is a usage error
+      // of whichever binary is starting, reported once, here.
+      std::fprintf(stderr, "error: %s in ADRES_EXEC_TIER\n", e.what());
+      std::exit(2);
+    }
   }();
   return tier;
 }

@@ -32,9 +32,10 @@ const char* execTierName(ExecTier t);
 ExecTier parseExecTier(std::string_view s);
 
 /// The process-wide default tier: ADRES_EXEC_TIER in the environment
-/// ("reference" / "native", read once and cached; an
-/// invalid value throws SimError), else kNative.  CI sweeps the whole test
-/// suite across tiers through this hook.
+/// ("reference" / "native", read once and cached), else kNative.  An
+/// invalid value prints one `error:` line to stderr and exits the process
+/// with status 2.  CI sweeps the whole test suite across tiers through this
+/// hook.
 ExecTier defaultExecTier();
 
 }  // namespace adres

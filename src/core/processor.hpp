@@ -134,6 +134,7 @@ class Processor {
   CgaArray& cga() { return cga_; }
   const CgaArray& cga() const { return cga_; }
   DmaEngine& dma() { return dma_; }
+  const DmaEngine& dma() const { return dma_; }
   const ActivityCounters& activity() const { return act_; }
   ActivityCounters& activity() { return act_; }
   const ExceptionFlags& exceptions() const { return exc_; }

@@ -1,41 +1,14 @@
 #include "dsp/frontend.hpp"
 
-#include <string>
-#include <utility>
-
-#include "common/check.hpp"
-
 namespace adres::dsp {
-
-const char* frontendKindName(FrontendKind k) {
-  switch (k) {
-    case FrontendKind::kScalar: return "scalar";
-    case FrontendKind::kVectorized: return "vectorized";
-  }
-  return "?";
-}
-
-FrontendKind parseFrontendKind(std::string_view s) {
-  if (s == "scalar") return FrontendKind::kScalar;
-  if (s == "vectorized") return FrontendKind::kVectorized;
-  throw SimError("unknown frontend kind '" + std::string(s) +
-                 "' (expected scalar|vectorized)");
-}
 
 void generateTrial(const ModemConfig& modem, const ChannelConfig& chCfg,
                    Rng& txRng, std::vector<u8>& bits,
                    std::array<std::vector<cint16>, kNumRx>& rx,
-                   TrialScratch& scratch, const FrontendConfig& fe) {
-  if (fe.kind == FrontendKind::kScalar) {
-    TxPacket pkt = transmit(modem, txRng);
-    bits = std::move(pkt.bits);
-    MimoChannel ch(chCfg);
-    rx = ch.run(pkt.waveform);
-    return;
-  }
+                   TrialScratch& scratch) {
   transmitInto(modem, txRng, bits, scratch.txWave, scratch.tx);
   MimoChannel ch(chCfg);
-  ch.runInto(scratch.txWave, rx, scratch.ch, fe.lanes);
+  ch.runInto(scratch.txWave, rx, scratch.ch);
 }
 
 }  // namespace adres::dsp

@@ -1,21 +1,15 @@
 // Trial-generation frontend: the TX + channel pipeline that produces one
 // campaign trial (payload bits + channel-impaired receive waveforms).
 //
-// Two implementations sit behind one switch, A/B-tested like the exec
-// tiers (DESIGN.md §15):
-//   kScalar     — the original per-sample reference path
-//                 (transmit + MimoChannel::run), allocating per trial
-//   kVectorized — lane-batched structure-of-arrays path into reused
-//                 buffers (transmitInto + MimoChannel::runInto);
-//                 bit-identical to the scalar path for the same seeds and
-//                 allocation-free in steady state
-// Because both paths draw from the same counter-derived Rng streams in the
-// same order, campaign results — and adres.campaign.v1 checkpoint bytes —
-// are unchanged by the switch.
+// generateTrial is the lane-batched structure-of-arrays path into reused
+// buffers (transmitInto + MimoChannel::runInto), allocation-free in steady
+// state (DESIGN.md §15).  The original per-sample path (transmit +
+// MimoChannel::run) stays as its test oracle: it draws from the same
+// counter-derived Rng streams in the same order, and tests/dsp/
+// frontend_ab_test pins the two bit-identical.
 #pragma once
 
 #include <array>
-#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -24,21 +18,6 @@
 #include "dsp/modem.hpp"
 
 namespace adres::dsp {
-
-enum class FrontendKind : u8 { kScalar, kVectorized };
-
-/// Stable lowercase name ("scalar" / "vectorized").
-const char* frontendKindName(FrontendKind k);
-
-/// Parses a frontendKindName; throws SimError on anything else.
-FrontendKind parseFrontendKind(std::string_view s);
-
-struct FrontendConfig {
-  FrontendKind kind = FrontendKind::kVectorized;
-  int lanes = kChannelLanes;  ///< sample-block width of the channel MAC
-
-  bool operator==(const FrontendConfig&) const = default;
-};
 
 /// Per-thread working set for generateTrial, reused across trials: all
 /// buffers keep their capacity, and the channel scratch's CFO phasor table
@@ -53,10 +32,10 @@ struct TrialScratch {
 /// the receive waveforms after the channel built from `chCfg` (whose seed
 /// carries the trial's counter-derived channel stream).  `bits` and `rx`
 /// are written in place (resized, capacity retained).  Output is
-/// bit-identical across frontend kinds and lane widths.
+/// bit-identical to transmit + MimoChannel::run on the same seeds.
 void generateTrial(const ModemConfig& modem, const ChannelConfig& chCfg,
                    Rng& txRng, std::vector<u8>& bits,
                    std::array<std::vector<cint16>, kNumRx>& rx,
-                   TrialScratch& scratch, const FrontendConfig& fe = {});
+                   TrialScratch& scratch);
 
 }  // namespace adres::dsp

@@ -10,11 +10,11 @@
 // Threading: every public method takes the registry mutex, so registration,
 // snapshotting and clear() may race freely; the getters themselves run
 // under that mutex and must only read thread-safe state (atomics, published
-// CounterRegistry snapshots, histogram snapshot()) — never a live
-// simulator's unsynchronized statistics (see the CounterRegistry
-// single-writer contract in trace/counters.hpp).  clear() is the teardown
-// barrier: once it returns, no getter registered before it will run again,
-// so the objects they captured may be destroyed.
+// SessionStats copies, histogram snapshot()) — never a live simulator's
+// unsynchronized statistics (the processor counter table in
+// trace/counters.hpp reads those on the simulating thread only).  clear()
+// is the teardown barrier: once it returns, no getter registered before it
+// will run again, so the objects they captured may be destroyed.
 #pragma once
 
 #include <chrono>

@@ -41,7 +41,6 @@ PacketFarm::PacketFarm(FarmConfig cfg)
   // Per-worker sinks would interleave into one file; aggregates come from
   // stats() instead.
   cfg_.run.trace = nullptr;
-  cfg_.run.countersJsonPath.clear();
   cfg_.run.progressCycles = nullptr;
   cfg_.run.cancel = nullptr;
   cfg_.run.regionLog = nullptr;  // per-worker logs are wired in workerMain

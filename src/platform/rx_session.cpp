@@ -3,8 +3,6 @@
 #include <mutex>
 #include <utility>
 
-#include "trace/telemetry.hpp"
-
 namespace adres::platform {
 namespace {
 
@@ -69,9 +67,7 @@ RxSession::RxSession(const dsp::ModemConfig& cfg, sdr::RxRunOptions opts)
   // The resident program is shared-const and never mutates between decodes,
   // so the session satisfies ExecPolicy::warmReload's immutability contract:
   // from the second decode on, load() only replays the DMA and state reset.
-  // coldReload is the bench/debug opt-out (bit- and cycle-exact, slower).
-  opts_.exec.warmReload = !opts_.coldReload;
-  trace::registerProcessorCounters(reg_, proc_);
+  opts_.exec.warmReload = true;
 }
 
 sdr::ProcessorRxResult RxSession::decode(
@@ -97,14 +93,12 @@ void RxSession::decodeInto(const std::array<std::vector<cint16>, 2>& rx,
     opts_.maxCycles = maxCyclesOverride;
   sdr::runModemOnProcessor(proc_, *modem_, rx, opts_, out);
   opts_.maxCycles = sessionBudget;
-  // Stats reset on the next load; fold this packet's into the session total.
-  // Static counters fold in place (key set stable after the first packet);
-  // region profiles fold numerically by id — the registry's "region" group
-  // getter builds key strings per call, so it stays out of the hot path and
-  // stats() materializes the block on demand.
+  // Stats reset on the next load; fold this packet's into the session total
+  // numerically (counters by table index, region profiles by id) — stats()
+  // builds the string-keyed maps on demand, off the hot path.
   ++stats_.packets;
   if (opts_.profile) stats_.profile.addProcessor(proc_);
-  reg_.accumulateCountersInto(stats_.counters);
+  trace::foldProcessorCounters(proc_, counterTotals_);
   for (const auto& [id, rp] : proc_.profiles()) {
     RegionProfile& t = regionTotals_[id];
     t.cycles += rp.cycles;
@@ -115,28 +109,24 @@ void RxSession::decodeInto(const std::array<std::vector<cint16>, 2>& rx,
     t.cgaOps += rp.cgaOps;
     t.entries += rp.entries;
   }
-  groupsDirty_ = true;
+  statsDirty_ = true;
 }
 
 const SessionStats& RxSession::stats() {
-  if (groupsDirty_) {
-    // Same keys registerProcessorCounters' "region" group getter yields:
-    // <region name>.{cycles,ops,vliw_cycles,cga_cycles,entries}.
-    const std::vector<std::string>& names = modem_->program.regionNames;
-    std::map<std::string, u64>& block = stats_.groups["region"];
-    block.clear();
-    for (const auto& [id, rp] : regionTotals_) {
-      const std::string base =
-          (id >= 0 && static_cast<std::size_t>(id) < names.size())
-              ? names[static_cast<std::size_t>(id)]
-              : "region" + std::to_string(id);
-      block[base + ".cycles"] = rp.cycles;
-      block[base + ".ops"] = rp.ops;
-      block[base + ".vliw_cycles"] = rp.vliwCycles;
-      block[base + ".cga_cycles"] = rp.cgaCycles;
-      block[base + ".entries"] = rp.entries;
+  if (statsDirty_) {
+    // The map's keys are exactly the table's names in the same (sorted)
+    // order once built, so later calls overwrite values in step.
+    if (stats_.counters.empty()) {
+      for (std::size_t i = 0; i < trace::kProcessorCounterCount; ++i)
+        stats_.counters.emplace(trace::kProcessorCounters[i].name,
+                                counterTotals_[i]);
+    } else {
+      auto it = stats_.counters.begin();
+      for (const u64 v : counterTotals_) (it++)->second = v;
     }
-    groupsDirty_ = false;
+    stats_.groups["region"] =
+        trace::regionBlock(regionTotals_, modem_->program.regionNames);
+    statsDirty_ = false;
   }
   return stats_;
 }

@@ -67,22 +67,22 @@ class RxSession {
   const sdr::ModemOnProcessor& modem() const { return *modem_; }
   Processor& processor() { return proc_; }
   const Processor& processor() const { return proc_; }
-  /// Session totals.  Non-const: the per-packet fold keeps region profiles
-  /// numerically (by id) and this call materializes the string-keyed
-  /// "region" group block on demand, so the hot path never builds strings.
+  /// Session totals.  Non-const: the per-packet fold keeps counters and
+  /// region profiles numerically and this call materializes the
+  /// string-keyed maps on demand, so the hot path never touches a string.
   const SessionStats& stats();
 
  private:
   std::shared_ptr<const sdr::ModemOnProcessor> modem_;
   sdr::RxRunOptions opts_;
   Processor proc_;
-  trace::CounterRegistry reg_;
   SessionStats stats_;
-  /// Numeric per-region totals folded per packet; stats() turns them into
-  /// the published `groups["region"]` block (same keys the registry's
-  /// group getter would have produced, built once instead of per packet).
+  /// Numeric totals folded per packet: the static processor counters by
+  /// table index and region profiles by id.  stats() turns them into the
+  /// string-keyed `counters` map and `groups["region"]` block on demand.
+  trace::ProcessorCounterValues counterTotals_{};
   std::map<int, RegionProfile> regionTotals_;
-  bool groupsDirty_ = false;
+  bool statsDirty_ = false;
 };
 
 }  // namespace adres::platform

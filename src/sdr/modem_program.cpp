@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <fstream>
 #include <mutex>
 
 #include "common/check.hpp"
@@ -16,7 +15,6 @@
 #include "sdr/glue.hpp"
 #include "sdr/kernels.hpp"
 #include "sdr/tables.hpp"
-#include "trace/telemetry.hpp"
 
 namespace adres::sdr {
 
@@ -816,13 +814,7 @@ void runModemOnProcessor(Processor& proc, const ModemOnProcessor& m,
   }
   out.cycles = proc.cycles();
   out.elapsedUs = proc.elapsedUs();
-  if (!out.halted()) {
-    if (!opts.countersJsonPath.empty()) {
-      std::ofstream os(opts.countersJsonPath);
-      trace::writeCountersJson(proc, os);
-    }
-    return;
-  }
+  if (!out.halted()) return;
   out.detected = proc.l1().read32(m.layout.status) != 0;
   out.ltfStart = proc.l1().read32(m.layout.status + 4);
 
@@ -858,10 +850,6 @@ void runModemOnProcessor(Processor& proc, const ModemOnProcessor& m,
     // shadow comparison can notice.
     out.bits[static_cast<std::size_t>(mix64(opts.faultInjectBitFlipSeed) %
                                       out.bits.size())] ^= 1;
-  }
-  if (!opts.countersJsonPath.empty()) {
-    std::ofstream os(opts.countersJsonPath);
-    trace::writeCountersJson(proc, os);
   }
 }
 

@@ -102,7 +102,6 @@ struct RxRunOptions {
   /// they differ only in host speed.
   ExecPolicy exec;
   TraceSink* trace = nullptr;      ///< attached to the processor when set
-  std::string countersJsonPath;    ///< adres.counters.v1 dump ("" = off)
   std::atomic<u64>* progressCycles = nullptr;  ///< heartbeat: cycles so far
   const std::atomic<u32>* cancel = nullptr;    ///< non-zero aborts the run
   u64 progressIntervalCycles = 32'768;         ///< slice size when supervised
@@ -111,11 +110,6 @@ struct RxRunOptions {
   /// every closed region.  Unlike `trace`, both observability hooks keep the
   /// CGA steady-state fast path engaged.
   std::vector<RegionSpan>* regionLog = nullptr;
-  /// Bench/debug A/B reference: force every RxSession decode through the
-  /// cold full program load instead of the warm-reload fast path.  Bit- and
-  /// cycle-exact either way; only host speed differs (bench_trialgen uses
-  /// this to reproduce the pre-warm-reload baseline).
-  bool coldReload = false;
   /// Test-only fault injection: when non-zero, one deterministically chosen
   /// payload bit (SplitMix64 of the seed, modulo the bit count) is flipped
   /// AFTER the gray-word decode — the simulated hardware is untouched, only

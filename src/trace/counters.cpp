@@ -1,105 +1,89 @@
 #include "trace/counters.hpp"
 
-#include "common/check.hpp"
+#include <algorithm>
+#include <string_view>
+
+#include "core/processor.hpp"
 
 namespace adres::trace {
+namespace {
 
-void CounterRegistry::add(const std::string& name, Getter g) {
-  ADRES_CHECK(!name.empty(), "counter name must be non-empty");
-  ADRES_CHECK(counters_.find(name) == counters_.end(),
-              "duplicate counter '" << name << '\'');
-  counters_[name] = std::move(g);
+using P = const Processor&;
+
+std::string regionName(const std::vector<std::string>& names, int id) {
+  if (id >= 0 && static_cast<std::size_t>(id) < names.size())
+    return names[static_cast<std::size_t>(id)];
+  return "region" + std::to_string(id);
 }
 
-void CounterRegistry::addGroup(const std::string& prefix, GroupGetter g) {
-  ADRES_CHECK(!prefix.empty(), "group prefix must be non-empty");
-  ADRES_CHECK(groups_.find(prefix) == groups_.end(),
-              "duplicate group '" << prefix << '\'');
-  groups_[prefix] = std::move(g);
+}  // namespace
+
+constexpr std::array<ProcessorCounter, kProcessorCounterCount>
+    kProcessorCounters = {{
+        {"cdrf.cga_accesses", [](P p) { return p.activity().cdrfCgaAccesses; }},
+        {"cdrf.reads", [](P p) { return p.regs().stats().reads; }},
+        {"cdrf.writes", [](P p) { return p.regs().stats().writes; }},
+        {"cfgmem.context_fetches",
+         [](P p) { return p.configMem().stats().contextFetches; }},
+        {"cfgmem.dma_bytes", [](P p) { return p.configMem().stats().dmaBytes; }},
+        {"cga.cycles", [](P p) { return p.activity().cgaCycles; }},
+        {"cga.ops", [](P p) { return p.activity().cgaOps; }},
+        {"cga.route_moves", [](P p) { return p.activity().cgaRouteMoves; }},
+        {"cga.stall_cycles", [](P p) { return p.activity().cgaStallCycles; }},
+        {"core.cycles", [](P p) { return p.activity().totalCycles(); }},
+        {"cprf.reads", [](P p) { return p.regs().predStats().reads; }},
+        {"cprf.writes", [](P p) { return p.regs().predStats().writes; }},
+        {"dma.core_cycles", [](P p) { return p.dma().stats().coreCycles; }},
+        {"dma.transfers", [](P p) { return p.dma().stats().transfers; }},
+        {"dma.words", [](P p) { return p.dma().stats().wordsMoved; }},
+        {"icache.accesses", [](P p) { return p.icache().stats().accesses; }},
+        {"icache.misses", [](P p) { return p.icache().stats().misses; }},
+        {"l1.bank_conflict_cycles",
+         [](P p) { return p.l1().stats().conflictCycles; }},
+        {"l1.bank_conflicts", [](P p) { return p.l1().stats().conflicts; }},
+        {"l1.cga_accesses", [](P p) { return p.activity().l1CgaAccesses; }},
+        {"l1.reads", [](P p) { return p.l1().stats().reads; }},
+        {"l1.writes", [](P p) { return p.l1().stats().writes; }},
+        {"lrf.reads", [](P p) { return p.cga().localRfTotals().reads; }},
+        {"lrf.writes", [](P p) { return p.cga().localRfTotals().writes; }},
+        {"mode.switches", [](P p) { return p.activity().modeSwitches; }},
+        {"ops16", [](P p) { return p.activity().ops16; }},
+        {"simd.ops", [](P p) { return p.activity().simdOps; }},
+        {"sleep.cycles", [](P p) { return p.activity().sleepCycles; }},
+        {"transports", [](P p) { return p.activity().transports; }},
+        {"vliw.cycles", [](P p) { return p.activity().vliwCycles; }},
+        {"vliw.ops", [](P p) { return p.activity().vliwOps; }},
+        {"vliw.stall_cycles", [](P p) { return p.activity().vliwStallCycles; }},
+    }};
+
+static_assert(std::is_sorted(kProcessorCounters.begin(),
+                             kProcessorCounters.end(),
+                             [](const ProcessorCounter& a,
+                                const ProcessorCounter& b) {
+                               return std::string_view(a.name) <
+                                      std::string_view(b.name);
+                             }),
+              "kProcessorCounters must stay sorted by name");
+
+void foldProcessorCounters(const Processor& proc,
+                           ProcessorCounterValues& into) {
+  for (std::size_t i = 0; i < kProcessorCounterCount; ++i)
+    into[i] += kProcessorCounters[i].read(proc);
 }
 
-void CounterRegistry::reset() {
-  for (const auto& hook : resetHooks_) hook();
-}
-
-void CounterRegistry::checkOwner() const {
-  std::lock_guard<std::mutex> lk(pubMu_);
-  if (!ownerBound_) {
-    owner_ = std::this_thread::get_id();
-    ownerBound_ = true;
-    return;
+std::map<std::string, u64> regionBlock(
+    const std::map<int, RegionProfile>& profiles,
+    const std::vector<std::string>& names) {
+  std::map<std::string, u64> block;
+  for (const auto& [id, prof] : profiles) {
+    const std::string base = regionName(names, id);
+    block[base + ".cycles"] += prof.cycles;
+    block[base + ".ops"] += prof.ops;
+    block[base + ".vliw_cycles"] += prof.vliwCycles;
+    block[base + ".cga_cycles"] += prof.cgaCycles;
+    block[base + ".entries"] += prof.entries;
   }
-  ADRES_CHECK(owner_ == std::this_thread::get_id(),
-              "CounterRegistry read from a non-owner thread — getters read "
-              "unsynchronized live stats; use publish()/published() for "
-              "cross-thread access or rebindOwner() to transfer ownership");
-}
-
-void CounterRegistry::rebindOwner() {
-  std::lock_guard<std::mutex> lk(pubMu_);
-  owner_ = std::this_thread::get_id();
-  ownerBound_ = true;
-}
-
-std::shared_ptr<const PublishedCounters> CounterRegistry::publish() {
-  checkOwner();
-  auto snap = std::make_shared<PublishedCounters>();
-  for (const auto& [name, g] : counters_) snap->counters[name] = g();
-  for (const auto& [prefix, g] : groups_) {
-    auto& block = snap->groups[prefix];
-    for (const auto& [suffix, value] : g()) block[suffix] += value;
-  }
-  std::shared_ptr<const PublishedCounters> out = std::move(snap);
-  std::lock_guard<std::mutex> lk(pubMu_);
-  published_ = out;
-  return out;
-}
-
-std::shared_ptr<const PublishedCounters> CounterRegistry::published() const {
-  std::lock_guard<std::mutex> lk(pubMu_);
-  return published_;
-}
-
-u64 CounterRegistry::value(const std::string& name) const {
-  checkOwner();
-  const auto it = counters_.find(name);
-  ADRES_CHECK(it != counters_.end(), "unknown counter '" << name << '\'');
-  return it->second();
-}
-
-std::vector<std::string> CounterRegistry::keys() const {
-  std::vector<std::string> out;
-  out.reserve(counters_.size());
-  for (const auto& [name, g] : counters_) out.push_back(name);
-  return out;  // std::map iterates sorted
-}
-
-std::map<std::string, u64> CounterRegistry::snapshot() const {
-  checkOwner();
-  std::map<std::string, u64> out;
-  for (const auto& [name, g] : counters_) out[name] = g();
-  return out;
-}
-
-void CounterRegistry::accumulateCountersInto(
-    std::map<std::string, u64>& into) const {
-  checkOwner();
-  for (const auto& [name, g] : counters_) into[name] += g();
-}
-
-std::map<std::string, std::map<std::string, u64>>
-CounterRegistry::groupSnapshot() const {
-  checkOwner();
-  std::map<std::string, std::map<std::string, u64>> out;
-  for (const auto& [prefix, g] : groups_) {
-    auto& block = out[prefix];
-    for (const auto& [suffix, value] : g()) block[suffix] += value;
-  }
-  return out;
-}
-
-void CounterRegistry::writeJson(std::ostream& os) const {
-  writeCountersJson(os, snapshot(), groupSnapshot());
+  return block;
 }
 
 void writeCountersJson(
@@ -127,6 +111,39 @@ void writeCountersJson(
     os << "\n    }";
   }
   os << "\n  }\n}\n";
+}
+
+void writeCountersJson(const Processor& proc, std::ostream& os) {
+  std::map<std::string, u64> counters;
+  for (const ProcessorCounter& c : kProcessorCounters)
+    counters.emplace(c.name, c.read(proc));
+  writeCountersJson(
+      os, counters,
+      {{"region", regionBlock(proc.profiles(), proc.program().regionNames)}});
+}
+
+void printRegionTable(const Processor& proc, std::FILE* out) {
+  std::fprintf(out, "%-26s %8s %10s %7s %6s  %s\n", "region", "entries",
+               "cycles", "ops/e", "IPC", "mode");
+  std::fprintf(out,
+               "----------------------------------------------------------"
+               "--------\n");
+  u64 total = 0;
+  for (const auto& [id, prof] : proc.profiles()) {
+    total += prof.cycles;
+    std::fprintf(out, "%-26s %8llu %10llu %7llu %6.2f  %s\n",
+                 regionName(proc.program().regionNames, id).c_str(),
+                 static_cast<unsigned long long>(prof.entries),
+                 static_cast<unsigned long long>(prof.cycles),
+                 static_cast<unsigned long long>(
+                     prof.entries ? prof.ops / prof.entries : 0),
+                 prof.ipc(), prof.mode().c_str());
+  }
+  std::fprintf(out,
+               "----------------------------------------------------------"
+               "--------\n");
+  std::fprintf(out, "%-26s %8s %10llu\n", "total profiled", "",
+               static_cast<unsigned long long>(total));
 }
 
 }  // namespace adres::trace

@@ -1,120 +1,74 @@
-// Counter registry: federates the simulator's scattered statistics
-// (ActivityCounters, per-component stats, region profiles) behind named
-// counters with a single stable-schema JSON dump.
+// Processor counters: the stable `adres.counters.v1` schema over the
+// simulator's scattered statistics (ActivityCounters, L1/I$/config-memory/
+// RF/DMA stats, region profiles), plus its one JSON serializer.
 //
 // Naming scheme (DESIGN.md "Observability"): dot-separated
 // `<component>.<metric>` keys, lower_snake metrics — e.g. `cga.cycles`,
-// `l1.bank_conflicts`, `cdrf.reads`.  Dynamic key families (per-region
-// profiles) register as groups under a prefix; the static key set is stable
-// for the lifetime of the registry, so JSON dumps from different runs diff
-// cleanly.
-// Threading contract (single-writer): the getters read live component
-// statistics that the simulating thread mutates with no synchronization, so
-// every value-reading call (value(), snapshot(), groupSnapshot(),
-// writeJson(), publish()) must run on that thread.  The registry binds its
-// owner thread on the first such call and rejects cross-thread reads with a
-// SimError (rebindOwner() transfers ownership explicitly, e.g. when a
-// registry built on one thread is handed to a worker before any read).
-// The supported cross-thread path is publish()/published(): the owner
-// publishes an immutable PublishedCounters snapshot which any thread may
-// then read — that is what live farm metrics scrape.
+// `l1.bank_conflicts`, `cdrf.reads`.  The static key set is one name-sorted
+// table of plain reads of a Processor, so dumps from different runs diff
+// cleanly and a fold over it is N direct calls.  The dynamic `region` group
+// adds one key block per visited region.
+//
+// Every read is of live, unsynchronized component statistics: read on the
+// thread that drives the Processor.  Cross-thread consumers (the packet
+// farm's live metrics) read published SessionStats copies instead.
 #pragma once
 
-#include <functional>
+#include <array>
+#include <cstdio>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 
+namespace adres {
+class Processor;
+struct RegionProfile;
+}
+
 namespace adres::trace {
 
-/// Immutable counter snapshot shared across threads (see publish()).
-struct PublishedCounters {
-  std::map<std::string, u64> counters;
-  std::map<std::string, std::map<std::string, u64>> groups;
+/// One static counter: its schema name and a plain read of the processor.
+struct ProcessorCounter {
+  const char* name;
+  u64 (*read)(const Processor&);
 };
 
-class CounterRegistry {
- public:
-  using Getter = std::function<u64()>;
-  /// A group expands to (suffix, value) pairs under its prefix at dump time
-  /// (keys may vary run to run — e.g. one block per profiled region).
-  using GroupGetter = std::function<std::vector<std::pair<std::string, u64>>()>;
+inline constexpr std::size_t kProcessorCounterCount = 32;
+using ProcessorCounterValues = std::array<u64, kProcessorCounterCount>;
 
-  /// Registers a named counter; the name must be unique.
-  void add(const std::string& name, Getter g);
+/// Every static processor counter, sorted by name (std::map order, so a
+/// values array and a name-keyed map line up index by index).
+extern const std::array<ProcessorCounter, kProcessorCounterCount>
+    kProcessorCounters;
 
-  /// Registers a dynamic key family dumped under `<prefix>.<suffix>`.
-  void addGroup(const std::string& prefix, GroupGetter g);
+/// Adds every static counter's current value into `into`, index by index.
+void foldProcessorCounters(const Processor& proc,
+                           ProcessorCounterValues& into);
 
-  /// Registers a hook invoked by reset() (e.g. Processor::resetStats).
-  void onReset(std::function<void()> hook) { resetHooks_.push_back(std::move(hook)); }
+/// The `region` group block: `<name>.{cycles,ops,vliw_cycles,cga_cycles,
+/// entries}` per region id, named from `names` (`region<id>` when the id
+/// has no name).
+std::map<std::string, u64> regionBlock(
+    const std::map<int, RegionProfile>& profiles,
+    const std::vector<std::string>& names);
 
-  /// Invokes every reset hook.
-  void reset();
-
-  bool has(const std::string& name) const { return counters_.count(name) != 0; }
-  u64 value(const std::string& name) const;
-
-  /// Static counter names, sorted (the stable schema).
-  std::vector<std::string> keys() const;
-
-  /// Point-in-time read of every static counter.
-  std::map<std::string, u64> snapshot() const;
-
-  /// Owner-thread fold: adds every static counter's current value into
-  /// `into` (group getters are not invoked — they build strings).  After
-  /// the first fold the key set exists, so steady-state calls perform no
-  /// heap allocation — the packet farm's per-packet stats path.
-  void accumulateCountersInto(std::map<std::string, u64>& into) const;
-
-  /// Point-in-time read of every group: prefix -> (suffix -> value).
-  std::map<std::string, std::map<std::string, u64>> groupSnapshot() const;
-
-  /// Stable-schema JSON dump:
-  /// {"schema":"adres.counters.v1","counters":{...},"groups":{prefix:{...}}}
-  void writeJson(std::ostream& os) const;
-
-  /// Owner-thread call: materializes every counter and group into an
-  /// immutable snapshot, stores it for cross-thread readers, and returns
-  /// it.  The returned object also serves as the caller's own snapshot
-  /// (one getter pass for both uses).
-  std::shared_ptr<const PublishedCounters> publish();
-
-  /// Any-thread call: the most recently published snapshot (null before
-  /// the first publish()).
-  std::shared_ptr<const PublishedCounters> published() const;
-
-  /// Transfers the single-writer ownership to the calling thread (see the
-  /// file-top threading contract).
-  void rebindOwner();
-
- private:
-  void checkOwner() const;
-
-  std::map<std::string, Getter> counters_;
-  std::map<std::string, GroupGetter> groups_;
-  std::vector<std::function<void()>> resetHooks_;
-
-  mutable std::mutex pubMu_;  ///< guards published_ and the owner binding
-  std::shared_ptr<const PublishedCounters> published_;
-  mutable std::thread::id owner_;
-  mutable bool ownerBound_ = false;
-};
-
-/// Writes the adres.counters.v1 JSON for already-materialized values.  When
-/// `workers` > 0 the dump is an aggregate merged across that many parallel
-/// workers and carries the schema's `workers` extension field (the counter
-/// values are then sums over every worker's registry).
+/// Writes the adres.counters.v1 JSON for already-materialized values:
+/// {"schema":"adres.counters.v1","counters":{...},"groups":{prefix:{...}}}.
+/// When `workers` > 0 the dump is an aggregate merged across that many
+/// parallel workers and carries the schema's `workers` extension field
+/// (the counter values are then sums over every worker).
 void writeCountersJson(
     std::ostream& os, const std::map<std::string, u64>& counters,
     const std::map<std::string, std::map<std::string, u64>>& groups,
     int workers = 0);
+
+/// One-shot counters dump of `proc`'s current statistics.
+void writeCountersJson(const Processor& proc, std::ostream& os);
+
+/// Per-region summary table (name, entries, cycles, mode, IPC) to `out`.
+void printRegionTable(const Processor& proc, std::FILE* out = stdout);
 
 }  // namespace adres::trace

@@ -1,15 +1,13 @@
 // A/B bit-exactness of the vectorized trial-generation frontend against
-// the scalar reference (DESIGN.md §15): same counter-derived seeds in,
-// byte-identical payload bits and receive waveforms out — across lane
-// widths, tap counts, SNR points, modulations, and seeds.  This is the
-// contract that lets campaigns switch frontends without perturbing
-// adres.campaign.v1 checkpoint bytes.
+// the scalar reference functions, transmit + MimoChannel::run, kept as its
+// oracle (DESIGN.md §15): same counter-derived seeds in, byte-identical
+// payload bits and receive waveforms out — across lane widths, tap counts,
+// SNR points, modulations, and seeds.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <vector>
 
-#include "common/check.hpp"
 #include "dsp/frontend.hpp"
 
 namespace adres::dsp {
@@ -33,11 +31,20 @@ bool operator==(const TrialOut& a, const TrialOut& b) {
 }
 
 TrialOut runTrial(const ModemConfig& mc, const ChannelConfig& cc, u64 txSeed,
-                  const FrontendConfig& fe, TrialScratch& scratch) {
+                  TrialScratch& scratch) {
   TrialOut o;
   Rng txRng(txSeed);
-  generateTrial(mc, cc, txRng, o.bits, o.rx, scratch, fe);
+  generateTrial(mc, cc, txRng, o.bits, o.rx, scratch);
   return o;
+}
+
+/// The scalar oracle: transmit, then the per-sample channel.
+TrialOut oracleTrial(const ModemConfig& mc, const ChannelConfig& cc,
+                     u64 txSeed) {
+  Rng txRng(txSeed);
+  TxPacket pkt = transmit(mc, txRng);
+  MimoChannel ch(cc);
+  return {std::move(pkt.bits), ch.run(pkt.waveform)};
 }
 
 TEST(FrontendAb, TransmitIntoMatchesTransmit) {
@@ -132,17 +139,20 @@ TEST(FrontendAb, GenerateTrialKindsAgree) {
   cc.snrDb = 18.0;
   cc.cfoPpm = 10.0;
 
-  TrialScratch scalarScratch, vecScratch;
+  // generateTrial (the shipped path) against the oracle, and the channel
+  // half again at explicit lane widths through runInto.
+  TrialScratch scratch;
   for (u64 trial = 0; trial < 8; ++trial) {
     cc.seed = 1000 + trial;
-    FrontendConfig scalarFe;
-    scalarFe.kind = FrontendKind::kScalar;
-    const TrialOut ref = runTrial(mc, cc, 500 + trial, scalarFe, scalarScratch);
+    const TrialOut ref = oracleTrial(mc, cc, 500 + trial);
+    EXPECT_TRUE(ref == runTrial(mc, cc, 500 + trial, scratch))
+        << "trial " << trial;
+    Rng txRng(500 + trial);
+    const TxPacket pkt = transmit(mc, txRng);
     for (const int lanes : {1, 16, 160}) {
-      FrontendConfig vecFe;
-      vecFe.kind = FrontendKind::kVectorized;
-      vecFe.lanes = lanes;
-      const TrialOut got = runTrial(mc, cc, 500 + trial, vecFe, vecScratch);
+      TrialOut got{pkt.bits, {}};
+      MimoChannel ch(cc);
+      ch.runInto(pkt.waveform, got.rx, scratch.ch, lanes);
       EXPECT_TRUE(ref == got) << "trial " << trial << " lanes " << lanes;
     }
   }
@@ -162,21 +172,12 @@ TEST(FrontendAb, ScratchReuseAcrossCellsIsClean) {
       cc.snrDb = 25.0;
       cc.cfoPpm = cfoPpm;
       cc.seed = 7;
-      FrontendConfig fe;  // vectorized default
       TrialScratch fresh;
-      const TrialOut a = runTrial(mc, cc, 99, fe, reused);
-      const TrialOut b = runTrial(mc, cc, 99, fe, fresh);
+      const TrialOut a = runTrial(mc, cc, 99, reused);
+      const TrialOut b = runTrial(mc, cc, 99, fresh);
       EXPECT_TRUE(a == b) << numSymbols << " syms, cfo " << cfoPpm;
     }
   }
-}
-
-TEST(FrontendAb, KindNamesRoundTripAndParseFailsLoudly) {
-  EXPECT_STREQ("scalar", frontendKindName(FrontendKind::kScalar));
-  EXPECT_STREQ("vectorized", frontendKindName(FrontendKind::kVectorized));
-  EXPECT_EQ(FrontendKind::kScalar, parseFrontendKind("scalar"));
-  EXPECT_EQ(FrontendKind::kVectorized, parseFrontendKind("vectorized"));
-  EXPECT_THROW(parseFrontendKind("simd"), SimError);
 }
 
 }  // namespace

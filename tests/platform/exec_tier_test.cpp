@@ -3,17 +3,21 @@
 // identical merged adres.counters.v1 totals and an identical
 // adres.profile.v1 cycle-attribution partition — the tiers differ only in
 // host speed.  Also pins that a traced decode writes the same trace and
-// counter bytes on both tiers, and that a tier/plan mismatch fails loudly
-// at load.
+// counter bytes on both tiers, that a tier/plan mismatch fails loudly at
+// load, and that a bad ADRES_EXEC_TIER stops any binary with one error line.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "dsp/channel.hpp"
 #include "platform/packet_farm.hpp"
 #include "trace/export.hpp"
-#include "trace/telemetry.hpp"
+#include "trace/counters.hpp"
 
 namespace adres::platform {
 namespace {
@@ -152,6 +156,30 @@ TEST(ExecTierFarm, MismatchedPolicyTierFailsLoudlyAtLoad) {
   pol.tier = ExecTier::kNative;
   pol.plans = modem->plansFor(ExecTier::kReference);
   EXPECT_THROW(proc.load(modem->program, pol), SimError);
+}
+
+TEST(ExecTierEnv, BadTierExitsWithOneErrorLine) {
+  // The variable is first read from default member initializers and flag
+  // set-up that run before any main can catch, so the check lives in
+  // defaultExecTier itself: exit 2, one `error:` line, no abort.
+  for (const std::string& cmd :
+       {std::string(ADRES_TRACE_MODEM) + " 2",
+        std::string(ADRES_BENCH_SIMSPEED) + " - 2",
+        std::string(ADRES_BENCH_FARM) + " 2 2 1 -"}) {
+    FILE* p = popen(("ADRES_EXEC_TIER=bogus " + cmd + " 2>&1").c_str(), "r");
+    ASSERT_NE(p, nullptr) << cmd;
+    std::string out;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, p)) out += buf;
+    const int status = pclose(p);
+    ASSERT_TRUE(WIFEXITED(status)) << cmd << ": " << out;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd << ": " << out;
+    const std::size_t at = out.find("error: unknown exec tier 'bogus'");
+    EXPECT_NE(at, std::string::npos) << cmd << ": " << out;
+    EXPECT_EQ(out.find("error:", at + 1), std::string::npos)
+        << "one error line: " << cmd << ": " << out;
+    EXPECT_EQ(out.find("terminate called"), std::string::npos) << cmd;
+  }
 }
 
 }  // namespace

@@ -61,6 +61,8 @@ TEST(RxSession, AccumulatesStatsAcrossPackets) {
   const auto [rx, bits] = makePacket(cfg, 0);
   RxSession session(cfg);
   const auto r1 = session.decode(rx);
+  // stats() materializes the maps lazily; a later call must refresh them.
+  EXPECT_EQ(session.stats().counters.at("core.cycles"), r1.cycles);
   const auto r2 = session.decode(rx);
   EXPECT_TRUE(r1.halted());
   EXPECT_EQ(r1.bits, r2.bits) << "session reuse is deterministic";
@@ -207,6 +209,10 @@ TEST(PacketFarm, LiveMetricsScrapeIsBitExactAndExposesFarmSeries) {
   fc.modem = cfg;
   fc.numWorkers = 3;
   fc.watchdog.pollMs = 2;  // aggressive supervision while we scrape
+  // Publish after every packet, so scrapes of adres_sim_counter race real
+  // mid-run SessionStats publishes (the production cross-thread counter
+  // path) instead of only the final one.
+  fc.statsPublishInterval = 1;
   obs::MetricsRegistry reg;
   PacketFarm farm(fc);
   farm.registerMetrics(reg);
@@ -242,9 +248,13 @@ TEST(PacketFarm, LiveMetricsScrapeIsBitExactAndExposesFarmSeries) {
             std::string::npos);
   EXPECT_NE(text.find("adres_farm_worker_packets_total{worker=\"2\"}"),
             std::string::npos);
-  EXPECT_NE(text.find("adres_sim_counter{name=\"core.cycles\"}"),
-            std::string::npos)
+  const std::string cyclesSeries = "adres_sim_counter{name=\"core.cycles\"} ";
+  const std::size_t at = text.find(cyclesSeries);
+  ASSERT_NE(at, std::string::npos)
       << "published session counters reach the live endpoint";
+  EXPECT_EQ(std::stod(text.substr(at + cyclesSeries.size())),
+            static_cast<double>(farm.stats().counters.at("core.cycles")))
+      << "the last publishes sum to the merged post-run totals";
 
   // The merged live histogram equals the post-run merge.
   EXPECT_EQ(farm.latencySnapshot().count, static_cast<u64>(kPackets));
@@ -390,24 +400,39 @@ TEST(PacketFarm, DeepObservabilityKeepsDecodesBitAndCycleExact) {
 
 TEST(RxSession, WarmReloadIsBitAndCycleExactWithColdReload) {
   const dsp::ModemConfig cfg = smallConfig();
-  RxSession warm(cfg);  // default: warm reload from the second decode on
-  sdr::RxRunOptions coldOpts;
-  coldOpts.coldReload = true;
-  RxSession cold(cfg, coldOpts);
-
+  RxSession warm(cfg);  // warm reload from the second decode on
+  // Cold baseline: a fresh Processor per packet takes the full program
+  // load; its counters fold the same way the session folds its own.
+  const auto modem = modemProgramFor(cfg);
+  trace::ProcessorCounterValues coldCounters{};
+  std::map<int, RegionProfile> coldRegions;
   for (int i = 0; i < 3; ++i) {
     const auto [rx, bits] = makePacket(cfg, i);
     const auto w = warm.decode(rx);
-    const auto c = cold.decode(rx);
+    Processor proc;
+    const auto c = sdr::runModemOnProcessor(proc, *modem, rx);
     EXPECT_EQ(w.bits, bits) << "packet " << i;
     EXPECT_EQ(w.bits, c.bits) << "packet " << i;
     EXPECT_EQ(w.cycles, c.cycles) << "packet " << i;
     EXPECT_EQ(w.detected, c.detected);
     EXPECT_EQ(w.ltfStart, c.ltfStart);
+    trace::foldProcessorCounters(proc, coldCounters);
+    for (const auto& [id, rp] : proc.profiles()) {
+      RegionProfile& t = coldRegions[id];
+      t.cycles += rp.cycles;
+      t.ops += rp.ops;
+      t.vliwCycles += rp.vliwCycles;
+      t.cgaCycles += rp.cgaCycles;
+      t.entries += rp.entries;
+    }
   }
   // The whole counter set — not just cycles — must be reload-invariant.
-  EXPECT_EQ(warm.stats().counters, cold.stats().counters);
-  EXPECT_EQ(warm.stats().groups, cold.stats().groups);
+  std::map<std::string, u64> cold;
+  for (std::size_t i = 0; i < trace::kProcessorCounterCount; ++i)
+    cold[trace::kProcessorCounters[i].name] = coldCounters[i];
+  EXPECT_EQ(warm.stats().counters, cold);
+  EXPECT_EQ(warm.stats().groups.at("region"),
+            trace::regionBlock(coldRegions, modem->program.regionNames));
 }
 
 TEST(PacketFarm, SubmittedPayloadsAreMovedNeverCopied) {

@@ -1,9 +1,11 @@
 // Trace & telemetry layer: ring-buffer flight recorder, Chrome / JSONL
 // exporters (validated with the shared tests/support/json_min.hpp parser),
-// counter registry, and the processor integration (events emitted during a
+// the processor counter table, and the processor integration (events emitted during a
 // real program run, zero perturbation when the sink is detached).
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,7 +15,6 @@
 #include "common/json_min.hpp"
 #include "trace/counters.hpp"
 #include "trace/export.hpp"
-#include "trace/telemetry.hpp"
 
 namespace adres {
 namespace {
@@ -171,71 +172,6 @@ TEST(JsonlExport, OneValidObjectPerLine) {
 }
 
 // ---------------------------------------------------------------------------
-// CounterRegistry
-
-TEST(CounterRegistry, RegisterQueryAndSnapshot) {
-  trace::CounterRegistry reg;
-  u64 x = 7;
-  reg.add("foo.count", [&] { return x; });
-  reg.add("bar.count", [] { return u64{3}; });
-  EXPECT_TRUE(reg.has("foo.count"));
-  EXPECT_FALSE(reg.has("nope"));
-  EXPECT_EQ(reg.value("foo.count"), 7u);
-  x = 9;
-  EXPECT_EQ(reg.value("foo.count"), 9u) << "getters read live state";
-  const auto snap = reg.snapshot();
-  EXPECT_EQ(snap.at("bar.count"), 3u);
-  EXPECT_EQ(snap.at("foo.count"), 9u);
-}
-
-TEST(CounterRegistry, KeysAreSortedAndStable) {
-  trace::CounterRegistry reg;
-  reg.add("z.metric", [] { return u64{0}; });
-  reg.add("a.metric", [] { return u64{0}; });
-  reg.add("m.metric", [] { return u64{0}; });
-  const auto keys = reg.keys();
-  ASSERT_EQ(keys.size(), 3u);
-  EXPECT_EQ(keys[0], "a.metric");
-  EXPECT_EQ(keys[1], "m.metric");
-  EXPECT_EQ(keys[2], "z.metric");
-  EXPECT_EQ(reg.keys(), keys) << "key set is stable across calls";
-}
-
-TEST(CounterRegistry, RejectsDuplicateAndEmptyNames) {
-  trace::CounterRegistry reg;
-  reg.add("dup", [] { return u64{0}; });
-  EXPECT_THROW(reg.add("dup", [] { return u64{1}; }), SimError);
-  EXPECT_THROW(reg.add("", [] { return u64{0}; }), SimError);
-  EXPECT_THROW(reg.value("missing"), SimError);
-}
-
-TEST(CounterRegistry, ResetInvokesHooks) {
-  trace::CounterRegistry reg;
-  u64 counter = 41;
-  reg.add("c", [&] { return counter; });
-  reg.onReset([&] { counter = 0; });
-  EXPECT_EQ(reg.value("c"), 41u);
-  reg.reset();
-  EXPECT_EQ(reg.value("c"), 0u);
-}
-
-TEST(CounterRegistry, JsonDumpHasStableSchema) {
-  trace::CounterRegistry reg;
-  reg.add("l1.reads", [] { return u64{12}; });
-  reg.add("cga.cycles", [] { return u64{900}; });
-  reg.addGroup("region", [] {
-    return std::vector<std::pair<std::string, u64>>{{"fft.cycles", 100}};
-  });
-  std::ostringstream os;
-  reg.writeJson(os);
-  JsonValue root = JsonParser(os.str()).parse();
-  EXPECT_EQ(root.at("schema").str, "adres.counters.v1");
-  EXPECT_EQ(root.at("counters").at("l1.reads").number, 12.0);
-  EXPECT_EQ(root.at("counters").at("cga.cycles").number, 900.0);
-  EXPECT_EQ(root.at("groups").at("region").at("fft.cycles").number, 100.0);
-}
-
-// ---------------------------------------------------------------------------
 // Processor integration
 
 KernelConfig accumulatorKernel() {
@@ -353,11 +289,16 @@ TEST(ProcessorTracing, RegionNamesResolveInChromeExport) {
 }
 
 TEST(ProcessorCounters, RegistryCoversEverySubsystemAndResets) {
-  Processor p;
-  p.load(tracedProgram());
-  p.run();
-  trace::CounterRegistry reg;
-  trace::registerProcessorCounters(reg, p);
+  // The static table is the counter registry: unique names in sorted
+  // (std::map) order, so folds and dumps line up index by index.
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < trace::kProcessorCounterCount; ++i) {
+    const std::string name = trace::kProcessorCounters[i].name;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate " << name;
+    if (i > 0) {
+      EXPECT_LT(trace::kProcessorCounters[i - 1].name, name);
+    }
+  }
 
   // The acceptance contract: core/VLIW/CGA/stall/sleep cycles, I$, L1
   // banks, CDRF/PRF ports, DMA all present under stable names.
@@ -368,24 +309,41 @@ TEST(ProcessorCounters, RegistryCoversEverySubsystemAndResets) {
         "l1.bank_conflicts", "l1.bank_conflict_cycles", "cdrf.reads",
         "cdrf.writes", "cprf.reads", "cprf.writes", "lrf.reads",
         "lrf.writes", "dma.transfers", "dma.words"})
-    EXPECT_TRUE(reg.has(key)) << key;
+    EXPECT_TRUE(names.count(key)) << key;
 
-  EXPECT_GT(reg.value("core.cycles"), 0u);
-  EXPECT_GT(reg.value("cga.cycles"), 0u);
-  EXPECT_GT(reg.value("icache.accesses"), 0u);
-  EXPECT_EQ(reg.value("mode.switches"), 2u);
+  Processor p;
+  p.load(tracedProgram());
+  p.run();
+  trace::ProcessorCounterValues v{};
+  trace::foldProcessorCounters(p, v);
+  const auto value = [&](const std::string& name) {
+    return v[static_cast<std::size_t>(
+        std::distance(names.begin(), names.find(name)))];
+  };
+  for (const char* key :
+       {"core.cycles", "vliw.cycles", "vliw.ops", "cga.cycles", "cga.ops",
+        "icache.accesses", "icache.misses", "cdrf.reads", "cdrf.writes",
+        "lrf.reads", "lrf.writes", "cfgmem.context_fetches"})
+    EXPECT_GT(value(key), 0u) << key;
+  EXPECT_EQ(value("mode.switches"), 2u);
 
   std::ostringstream os;
-  reg.writeJson(os);
+  trace::writeCountersJson(p, os);
   JsonValue root = JsonParser(os.str()).parse();
   EXPECT_EQ(root.at("schema").str, "adres.counters.v1");
-  EXPECT_TRUE(root.at("groups").hasKey("region"));
+  EXPECT_EQ(root.at("counters").object.size(), trace::kProcessorCounterCount);
+  EXPECT_EQ(root.at("counters").at("core.cycles").number,
+            static_cast<double>(value("core.cycles")));
+  EXPECT_EQ(root.at("groups").at("region").at("kernel region.entries").number,
+            1.0);
 
-  const auto keysBefore = reg.keys();
-  reg.reset();
-  EXPECT_EQ(reg.value("core.cycles"), 0u);
-  EXPECT_EQ(reg.value("icache.accesses"), 0u) << "reset reaches the I$";
-  EXPECT_EQ(reg.keys(), keysBefore) << "schema survives reset";
+  // DMA stats deliberately survive resetStats (they account program-load
+  // transfers); every other counter returns to zero.
+  p.resetStats();
+  for (const trace::ProcessorCounter& c : trace::kProcessorCounters) {
+    if (std::string(c.name).rfind("dma.", 0) == 0) continue;
+    EXPECT_EQ(c.read(p), 0u) << c.name << " after resetStats";
+  }
 }
 
 }  // namespace

@@ -100,14 +100,13 @@ using namespace adres;
 
 namespace {
 
-/// One full producer/consumer round: generate + submit `batch` trials with
-/// the vectorized frontend, collect the ordered outcomes, recycle every
+/// One full producer/consumer round: generate + submit `batch` trials
+/// (generateTrial), collect the ordered outcomes, recycle every
 /// buffer back to the farm's pools.  Exactly the campaign inner loop.
 void runRound(platform::PacketFarm& farm, const dsp::ModemConfig& modem,
               u64 firstTrial, u64 batch, std::vector<u8>& bits,
               dsp::TrialScratch& scratch,
               std::vector<platform::RxOutcome>& outs) {
-  const dsp::FrontendConfig fe;  // vectorized default
   for (u64 t = firstTrial; t < firstTrial + batch; ++t) {
     Rng txRng(0x9e3779b97f4a7c15ull ^ (t * 2u));
     dsp::ChannelConfig cc;
@@ -119,7 +118,7 @@ void runRound(platform::PacketFarm& farm, const dsp::ModemConfig& modem,
     job.id = t;
     job.rx[0] = farm.acquireSampleBuffer();
     job.rx[1] = farm.acquireSampleBuffer();
-    dsp::generateTrial(modem, cc, txRng, bits, job.rx, scratch, fe);
+    dsp::generateTrial(modem, cc, txRng, bits, job.rx, scratch);
     farm.submit(std::move(job));
   }
   farm.collectInto(outs);

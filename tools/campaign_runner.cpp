@@ -100,7 +100,6 @@ int main(int argc, char** argv) {
   int batch = 16;
   int workers = 1;
   int producers = 1;
-  std::string frontend = "vectorized";
   std::string checkpoint;
   bool fresh = false;
   int stopAfterCells = -1;
@@ -130,8 +129,6 @@ int main(int argc, char** argv) {
   args.flag("producers", "N",
             "trial-generation threads (results identical for any N)",
             &producers);
-  args.flag("frontend", "KIND",
-            "trial frontend: scalar|vectorized (bit-identical)", &frontend);
   args.flag("checkpoint", "PATH", "adres.campaign.v1 checkpoint file",
             &checkpoint);
   args.flag("fresh", "ignore an existing checkpoint", &fresh);
@@ -162,12 +159,6 @@ int main(int argc, char** argv) {
   cfg.sweep.stop.confidence = confidence;
   cfg.workers = workers;
   cfg.producers = producers;
-  try {
-    cfg.frontend.kind = dsp::parseFrontendKind(frontend);
-  } catch (const SimError& e) {
-    std::fprintf(stderr, "campaign_runner: %s\n", e.what());
-    return 1;
-  }
   cfg.checkpointPath = checkpoint;
   cfg.resume = !fresh;
   cfg.stopAfterCells = stopAfterCells;

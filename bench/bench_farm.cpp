@@ -196,6 +196,23 @@ int main(int argc, char** argv) {
     }
     return fc;
   };
+  // Untimed warm-up passes at the largest worker count: a cold process
+  // (first-touch pages, cold caches, lazily grown pools) made the first
+  // timed farm run several times slower than every later one, skewing the
+  // 1-worker baseline and the first overhead pair.
+  constexpr int kWarmupPasses = 1;
+  const auto warmUp = [&] {
+    for (int p = 0; p < kWarmupPasses; ++p) {
+      platform::FarmConfig fc = farmConfigFor(maxWorkers, -1.0);
+      fc.postmortem = obs::PostmortemConfig{};
+      platform::PacketFarm f(fc);
+      for (int i = 0; i < numPackets; ++i)
+        (void)f.submit(waves[static_cast<std::size_t>(i)]);
+      (void)f.finish();
+    }
+  };
+  warmUp();
+
   for (const int w : sweep) {
     // Swap the scrape target: clear() is the teardown barrier for the
     // getters capturing the previous farm and SLO engine.
@@ -389,6 +406,7 @@ int main(int argc, char** argv) {
       return static_cast<double>(numPackets) / (wallUs / 1e6);
     };
     std::vector<double> pct;
+    warmUp();
     for (int i = 0; i < kOverheadPairs; ++i) {
       const bool offFirst = i % 2 == 0;
       double basePps = offFirst ? timedRun(-1.0) : 0.0;

@@ -1,12 +1,16 @@
 // Kernel-mapping example: explores how the DRESC-style modulo scheduler
 // maps a dataflow loop onto the 4x4 array — II lower bounds, routing
-// moves, live-in preloads, and the generated configuration contexts.
+// moves, live-in preloads, and the generated configuration contexts —
+// then shows how many latency-1 ops (and routing MOVs) of each modem
+// kernel the native tier runs in its commit phase (DESIGN.md §14).
 //
 //   $ ./examples/kernel_mapping
 #include <cstdio>
 
+#include "cga/native.hpp"
 #include "cga/topology.hpp"
 #include "sched/modulo.hpp"
+#include "sdr/modem_program.hpp"
 
 using namespace adres;
 
@@ -36,6 +40,15 @@ KernelDfg cdotKernel() {
   b.defineCarried(yPtr, b.opImm(Opcode::ADD, yPtr, 8));
   b.liveOut(16, acc);
   return b.build();
+}
+
+/// Prints the native plan's commit-phase coverage of one kernel.
+void printCommitPhase(const KernelConfig& k) {
+  const KernelPlan plan = buildKernelPlan(k, ExecTier::kNative);
+  const NativePlan& np = *plan.native;
+  printf("  %-12s commit-phase %3u/%-3u  (MOVs %3u/%-3u)\n", k.name.c_str(),
+         np.commitPhaseOps, np.latencyOneOps, np.commitPhaseMovs,
+         static_cast<unsigned>(np.perIter.movs));
 }
 
 }  // namespace
@@ -73,5 +86,14 @@ int main() {
   const std::vector<u8> image = encodeKernel(sk.config);
   printf("\nconfiguration image: %zu bytes (%d-bit ultra-wide word per "
          "context)\n", image.size(), contextWordBits());
+
+  // Native tier: latency-1 ops that evaluate in the commit phase of their
+  // landing cycle instead of travelling through the commit wheel.
+  printf("\nnative commit phase (latency-1 ops, of them routing MOVs):\n");
+  printCommitPhase(sk.config);
+  dsp::ModemConfig modemCfg;
+  modemCfg.mod = dsp::Modulation::kQam64;
+  const sdr::ModemOnProcessor modem = sdr::buildModemProgram(modemCfg);
+  for (const KernelConfig& k : modem.program.kernels) printCommitPhase(k);
   return 0;
 }

@@ -115,6 +115,9 @@ class CgaArray {
   std::vector<NativeResolvedOp> nativeOps_;
   std::vector<NativePending> nativeWheel_;
   std::array<u32, kCgaWheelSlots> nativeWheelCounts_ = {};
+  /// Write target of unselected local-RF/CDRF destinations, so a native
+  /// commit stores unconditionally; never read.
+  Word nativeDiscard_ = 0;
 
   CentralRegFile& crf_;
   Scratchpad& l1_;

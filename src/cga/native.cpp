@@ -11,6 +11,15 @@
 #include "mem/scratchpad.hpp"
 
 namespace adres {
+
+// A result's destinations: the FU output register plus the local-RF and
+// CDRF slots, which point at the array's discard word when unselected.
+inline void writeDestinations(const NativeResolvedOp& o, Word v) {
+  *o.out = v;
+  *o.lrfDst = v;
+  *o.crfDst = v;
+}
+
 namespace {
 
 // Pushes one result onto the flat commit wheel.  The slot holds only
@@ -28,6 +37,13 @@ inline void pushCommit(const NativeResolvedOp& op, NativeEngine& e, Word v) {
 template <Opcode Op>
 void execCompute(const NativeResolvedOp& op, NativeEngine& e) {
   pushCommit(op, e, evalOpInline(Op, *op.a, *op.b, op.imm));
+}
+
+// Commit-phase compute body: the same evaluation, written straight to the
+// destinations at the start of the landing cycle.
+template <Opcode Op>
+void commitCompute(const NativeResolvedOp& op) {
+  writeDestinations(op, evalOpInline(Op, *op.a, *op.b, op.imm));
 }
 
 // L1 bank arbitration stays per-access: stalls and conflicts are the only
@@ -88,6 +104,17 @@ NativeExecFn computeFn(Opcode op) {
   return nullptr;
 }
 
+NativeCommitFn commitFn(Opcode op) {
+  switch (op) {
+#define ADRES_NATIVE_COMMIT(name, group, lat, mask) \
+  case Opcode::name:                                \
+    return &commitCompute<Opcode::name>;
+    ADRES_OPCODE_LIST(ADRES_NATIVE_COMMIT)
+#undef ADRES_NATIVE_COMMIT
+  }
+  return nullptr;
+}
+
 NativeExecFn loadFn(const PlanOp& op) {
   switch (op.memBytes) {
     case 1:
@@ -108,6 +135,120 @@ NativeExecFn storeFn(const PlanOp& op) {
     case 2: return &execStore<2, false>;
     default: return op.storeHigh ? &execStore<4, true> : &execStore<4, false>;
   }
+}
+
+// Register keys of the commit-phase analysis: the 16 FU output registers,
+// then the 16 x 16 local-RF slots, then the 64 CDRF slots.
+constexpr u16 kNoKey = 0xFFFF;
+constexpr u32 kKeyLocalRf = kCgaFus;
+constexpr u32 kKeyCdrf = kKeyLocalRf + kCgaFus * kLocalRfRegs;
+constexpr u32 kRegKeys = kKeyCdrf + kCdrfRegs;
+
+u16 readKey(const SrcSel& s, u8 fu) {
+  switch (s.kind) {
+    case SrcKind::kOutput: return s.index;
+    case SrcKind::kLocalRf:
+      return static_cast<u16>(kKeyLocalRf + fu * kLocalRfRegs + s.index);
+    case SrcKind::kGlobalRf: return static_cast<u16>(kKeyCdrf + s.index);
+    default: return kNoKey;
+  }
+}
+
+/// Per-op facts the commit-phase analysis needs beyond the spec.
+struct PhaseFacts {
+  /// Output-register, local-RF and CDRF keys the commit writes.
+  std::array<u16, 3> writes = {kNoKey, kNoKey, kNoKey};
+  /// Registers the op reads and does not itself write: only these order
+  /// it against other commit-phase ops.
+  std::array<u16, 2> reads = {kNoKey, kNoKey};
+  u32 landing = 0;         ///< (schedTime + lat) mod II
+  bool commits = false;    ///< not a store: its result lands on the wheel
+  bool candidate = false;  ///< kCompute, latency 1, MOVs from a register
+  bool mov = false;
+  bool phase = false;      ///< chosen for the commit phase
+};
+
+PhaseFacts phaseFacts(const PlanOp& op, std::size_t ctx, std::size_t ii) {
+  PhaseFacts f;
+  f.landing = static_cast<u32>((ctx + op.lat) % ii);
+  f.commits = op.kind != PlanOpKind::kStore;
+  f.mov = op.isMov;
+  const SrcKind k = op.src1.kind;
+  f.candidate = op.kind == PlanOpKind::kCompute && op.lat == 1 &&
+                (!op.isMov || k == SrcKind::kOutput ||
+                 k == SrcKind::kLocalRf || k == SrcKind::kGlobalRf);
+  if (f.commits) {
+    f.writes[0] = op.fu;
+    if (op.dst.toLocalRf)
+      f.writes[1] = static_cast<u16>(kKeyLocalRf + op.fu * kLocalRfRegs +
+                                     op.dst.localAddr);
+    if (op.dst.toGlobalRf)
+      f.writes[2] = static_cast<u16>(kKeyCdrf + op.dst.globalAddr);
+  }
+  const std::array<u16, 2> reads = {readKey(op.src1, op.fu),
+                                    readKey(op.src2, op.fu)};
+  for (std::size_t r = 0; r < reads.size(); ++r)
+    if (std::find(f.writes.begin(), f.writes.end(), reads[r]) ==
+        f.writes.end())
+      f.reads[r] = reads[r];
+  return f;
+}
+
+// Chooses the commit-phase ops among `landing` (every op whose commit
+// lands on one residue) and returns them in read-before-write order.
+// `writers`/`readers` are zeroed scratch, left zeroed.
+u32 peelCommitPhase(std::vector<PhaseFacts>& facts, const u32* landing,
+                    u32 n, std::array<u16, kRegKeys>& writers,
+                    std::array<u16, kRegKeys>& readers,
+                    std::array<u32, kCgaFus>& order) {
+  auto count = [](std::array<u16, kRegKeys>& into,
+                  const auto& keys, int delta) {
+    for (u16 k : keys)
+      if (k != kNoKey) into[k] = static_cast<u16>(into[k] + delta);
+  };
+  if (std::none_of(landing, landing + n,
+                   [&](u32 i) { return facts[i].candidate; }))
+    return 0;
+  for (u32 j = 0; j < n; ++j) count(writers, facts[landing[j]].writes, 1);
+
+  // Eligible: a candidate whose every destination sees no other landing.
+  std::array<u32, kCgaFus> cand;
+  u32 nc = 0;
+  for (u32 j = 0; j < n; ++j) {
+    const PhaseFacts& f = facts[landing[j]];
+    if (!f.candidate) continue;
+    if (std::any_of(f.writes.begin(), f.writes.end(),
+                    [&](u16 w) { return w != kNoKey && writers[w] != 1; }))
+      continue;
+    ADRES_DCHECK(nc < kCgaFus, "more latency-1 landings than FUs");
+    cand[nc++] = landing[j];
+    count(readers, f.reads, 1);
+  }
+
+  // Peel: an op is ready once no unpeeled candidate reads a register it
+  // writes.  Ops left in a cycle stay on the wheel.
+  std::array<bool, kCgaFus> peeled = {};
+  u32 no = 0;
+  for (bool progress = true; progress;) {
+    progress = false;
+    for (u32 j = 0; j < nc; ++j) {
+      PhaseFacts& f = facts[cand[j]];
+      if (peeled[j] ||
+          std::any_of(f.writes.begin(), f.writes.end(),
+                      [&](u16 w) { return w != kNoKey && readers[w] != 0; }))
+        continue;
+      peeled[j] = true;
+      progress = true;
+      f.phase = true;
+      order[no++] = cand[j];
+      count(readers, f.reads, -1);
+    }
+  }
+
+  for (u32 j = 0; j < nc; ++j)
+    if (!peeled[j]) count(readers, facts[cand[j]].reads, -1);
+  for (u32 j = 0; j < n; ++j) count(writers, facts[landing[j]].writes, -1);
+  return no;
 }
 
 }  // namespace
@@ -136,9 +277,17 @@ std::shared_ptr<const NativePlan> buildNativePlan(const KernelPlan& plan) {
     }
   };
 
+  // Specs in plan order (contexts concatenated, FU-ascending); the commit
+  // phase below reorders each context.
+  std::size_t nOps = 0;
+  for (const ContextPlan& cp : plan.contexts) nOps += cp.ops.size();
+  std::vector<NativeOpSpec> ops;
+  std::vector<PhaseFacts> facts;
+  ops.reserve(nOps);
+  facts.reserve(nOps);
+  std::vector<u32> ctxBegin(ii + 1, 0);
   for (std::size_t c = 0; c < ii; ++c) {
-    NativeContextInfo& ci = np->contexts[c];
-    ci.begin = static_cast<u32>(np->ops.size());
+    ctxBegin[c] = static_cast<u32>(ops.size());
     for (const PlanOp& op : plan.contexts[c].ops) {
       NativeOpSpec s;
       s.fu = op.fu;
@@ -166,6 +315,10 @@ std::shared_ptr<const NativePlan> buildNativePlan(const KernelPlan& plan) {
       switch (op.kind) {
         case PlanOpKind::kCompute:
           s.fn = computeFn(op.op);
+          if (op.lat == 1) {
+            ++np->latencyOneOps;
+            if (!op.isMov) s.commit = commitFn(op.op);
+          }
           break;
         case PlanOpKind::kLoad:
           s.fn = loadFn(op);
@@ -193,14 +346,51 @@ std::shared_ptr<const NativePlan> buildNativePlan(const KernelPlan& plan) {
         }
         ++depth[(c + op.lat) % ii];
       }
-      np->ops.push_back(s);
+      ops.push_back(s);
+      facts.push_back(phaseFacts(op, c, ii));
     }
-    ci.end = static_cast<u32>(np->ops.size());
-    ci.opCount = ci.end - ci.begin;
   }
+  ctxBegin[ii] = static_cast<u32>(ops.size());
 
   np->maxCommitDepth = 1;
   for (u32 d : depth) np->maxCommitDepth = std::max(np->maxCommitDepth, d);
+
+  // Committing ops bucketed by landing residue (a counting sort).
+  std::vector<u32> landAt(ii + 1, 0);
+  std::vector<u32> byLanding(ops.size());
+  for (const PhaseFacts& f : facts)
+    if (f.commits) ++landAt[f.landing + 1];
+  for (std::size_t r = 0; r < ii; ++r) landAt[r + 1] += landAt[r];
+  {
+    std::vector<u32> fill(landAt.begin(), landAt.end() - 1);
+    for (u32 i = 0; i < ops.size(); ++i)
+      if (facts[i].commits) byLanding[fill[facts[i].landing]++] = i;
+  }
+
+  // Each context's latency-1 results land on the next residue: emit its
+  // issuing ops in plan order, then its commit-phase ops in peel order.
+  std::array<u16, kRegKeys> writers = {};
+  std::array<u16, kRegKeys> readers = {};
+  std::array<u32, kCgaFus> order;
+  np->ops.reserve(ops.size());
+  for (std::size_t c = 0; c < ii; ++c) {
+    const std::size_t r = (c + 1) % ii;
+    const u32 no = peelCommitPhase(facts, byLanding.data() + landAt[r],
+                                   landAt[r + 1] - landAt[r], writers,
+                                   readers, order);
+    NativeContextInfo& ci = np->contexts[c];
+    ci.begin = static_cast<u32>(np->ops.size());
+    for (u32 i = ctxBegin[c]; i < ctxBegin[c + 1]; ++i)
+      if (!facts[i].phase) np->ops.push_back(ops[i]);
+    ci.issueEnd = static_cast<u32>(np->ops.size());
+    for (u32 j = 0; j < no; ++j) {
+      np->ops.push_back(ops[order[j]]);
+      if (facts[order[j]].mov) ++np->commitPhaseMovs;
+    }
+    ci.end = static_cast<u32>(np->ops.size());
+    ci.opCount = ci.end - ci.begin;
+    np->commitPhaseOps += no;
+  }
 
   // No-retire skip runs: a residue is idle iff it issues no op and no
   // commit ever lands on it in steady state.  Consecutive idle residues
@@ -239,6 +429,7 @@ void CgaArray::resolveNative(const KernelPlan& plan) {
     NativeResolvedOp& r = nativeOps_[i];
     const std::size_t fu = s.fu;
     r.fn = s.fn;
+    r.commit = s.commit;
     r.lat = s.lat;
     r.schedTime = s.schedTime;
     r.imm = s.imm;
@@ -247,13 +438,15 @@ void CgaArray::resolveNative(const KernelPlan& plan) {
     r.b = srcPtr(s.src2, &s.imm2, fu);
     r.c = srcPtr(s.src3, &s.imm3, fu);
     r.out = &outRegs_[fu];
-    r.lrfDst = s.dst.toLocalRf ? localRfs_[fu].slotPtr(s.dst.localAddr) : nullptr;
-    r.crfDst = s.dst.toGlobalRf ? crf_.slotPtr(s.dst.globalAddr) : nullptr;
+    r.lrfDst = s.dst.toLocalRf ? localRfs_[fu].slotPtr(s.dst.localAddr)
+                               : &nativeDiscard_;
+    r.crfDst = s.dst.toGlobalRf ? crf_.slotPtr(s.dst.globalAddr)
+                                : &nativeDiscard_;
     // LD_IH merges the current destination's low half (currentDst order:
     // local RF, then CDRF, then the output register).
-    r.mergeSrc = r.lrfDst ? r.lrfDst
-                          : (r.crfDst ? static_cast<const Word*>(r.crfDst)
-                                      : static_cast<const Word*>(r.out));
+    r.mergeSrc = s.dst.toLocalRf    ? r.lrfDst
+                 : s.dst.toGlobalRf ? static_cast<const Word*>(r.crfDst)
+                                    : static_cast<const Word*>(r.out);
   }
 
   const std::size_t need = kCgaWheelSlots * np.maxCommitDepth;
@@ -298,11 +491,23 @@ CgaRunResult CgaArray::runNative(const KernelPlan& plan, u32 trips,
       const NativeResolvedOp& o = *p[i].op;
       Word v = p[i].value;
       if (o.mergeHigh) v |= *o.mergeSrc & 0xFFFFFFFFull;
-      *o.out = v;
-      if (o.lrfDst) *o.lrfDst = v;
-      if (o.crfDst) *o.crfDst = v;
+      writeDestinations(o, v);
     }
     e.wheelCount[slot] = 0;
+  };
+
+  // Commit phase of the residue after context `prev`: the latency-1 ops
+  // that context issued one steady cycle ago evaluate now, before the
+  // wheel's commits for this cycle (native.hpp).
+  auto commitPhase = [&](const NativeContextInfo& prev) {
+    for (u32 i = prev.issueEnd; i < prev.end; ++i) {
+      const NativeResolvedOp& o = nativeOps_[i];
+      if (o.commit) {
+        o.commit(o);
+      } else {
+        writeDestinations(o, *o.a);  // routing MOV: a plain copy
+      }
+    }
   };
 
   // Guarded prologue/epilogue: per-op squash checks; all op-derived
@@ -346,20 +551,30 @@ CgaRunResult CgaArray::runNative(const KernelPlan& plan, u32 trips,
   // come from a steady-state cycle, whose landing residue has depth > 0 —
   // so an idle residue provably has an empty slot and no issue, and the
   // loop may jump the cycle counter across the whole idle run.
+  // A steady cycle g runs the commit phase of the ops issued at g - 1 when
+  // that cycle was steady too; those issued by the guarded prologue went
+  // through the wheel.
   const u64 skipSafe = steadyBegin + kCgaWheelSlots;
+  const u32 lastCtx = static_cast<u32>(ii - 1);
   u64 g = steadyBegin;
+  u32 r = static_cast<u32>(g % ii);  // running residue g mod II
   while (g < steadyEnd) {
+    if (g > steadyBegin) commitPhase(np.contexts[r == 0 ? lastCtx : r - 1]);
     drainSlot(g);
-    const NativeContextInfo& ctx = np.contexts[g % ii];
+    const NativeContextInfo& ctx = np.contexts[r];
     if (ctx.skipRun != 0 && g >= skipSafe) {
-      const u64 run = std::min<u64>(ctx.skipRun, steadyEnd - g);
+      // An idle residue receives no landing, so the commit phase of the
+      // cycle after the jump (whose predecessor was idle) is empty.
+      const u32 run = static_cast<u32>(std::min<u64>(ctx.skipRun, steadyEnd - g));
       g += run;
       e.wall += run;
+      r += run;
+      if (r >= ii) r -= static_cast<u32>(ii);
       continue;
     }
     e.g = g;
     e.stall = 0;
-    for (u32 i = ctx.begin; i < ctx.end; ++i) {
+    for (u32 i = ctx.begin; i < ctx.issueEnd; ++i) {
       const NativeResolvedOp& o = nativeOps_[i];
       o.fn(o, e);
     }
@@ -367,7 +582,10 @@ CgaRunResult CgaArray::runNative(const KernelPlan& plan, u32 trips,
     e.wall += 1 + static_cast<u64>(e.stall);
     res.stallCycles += static_cast<u64>(e.stall);
     ++g;
+    if (++r == ii) r = 0;
   }
+  if (steadyEnd > steadyBegin)
+    commitPhase(np.contexts[r == 0 ? lastCtx : r - 1]);
 
   runGuarded(steadyEnd, totalLogical);
 

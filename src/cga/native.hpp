@@ -14,7 +14,28 @@
 //    preload/writeback constants — the executing loop touches no counter;
 //  - per-residue commit landing depths bound the flat commit wheel, and
 //    residues on which no op issues and no result retires are folded into
-//    no-retire skip runs the steady loop jumps over in one step.
+//    no-retire skip runs the steady loop jumps over in one step;
+//  - latency-1 compute ops whose landing is collision-free and orderable
+//    become commit-phase ops: in steady state they do not issue at all,
+//    but evaluate at the start of the cycle their result lands on and
+//    write their destinations directly (a MOV is a plain copy), so the
+//    commit wheel carries only multi-cycle results and the few latency-1
+//    ops the rules below reject.
+//
+// Commit phase (DESIGN.md §14).  An op is commit-phase when it is kCompute
+// with latency 1 (a MOV also needs a register source) and no other op's
+// commit lands on any of its destinations (output register, local-RF
+// slot, CDRF slot) on its landing residue (schedTime + 1) mod II.  Per
+// landing residue the eligible ops are peeled read-before-write: an op
+// that writes a register runs after every other commit-phase op reading
+// it; ops left in a cycle (two MOVs swapping registers) stay on the wheel.
+// This is exact: an op issued at g reads the state after g's commits, and
+// nothing writes a register between then and g+1's commit phase except an
+// earlier commit-phase op, which the ordering rules out; with no
+// destination collision, commit order within the slot cannot matter.
+// Guarded prologue/epilogue cycles issue every op through the wheel; the
+// steady loop runs a residue's commit phase only for cycles g with
+// g - 1 >= steadyBegin, and once more for steadyEnd after the loop.
 //
 // At launch, CgaArray resolves each op's operand/destination selectors
 // into raw pointers (FU output registers, local/central RF slots, plan
@@ -43,16 +64,22 @@ struct NativeEngine;
 /// class) — per opcode for compute ops, per (width, mode) for memory ops.
 using NativeExecFn = void (*)(const NativeResolvedOp&, NativeEngine&);
 
+/// A commit-phase body: evaluates one latency-1 compute op at the start of
+/// its landing cycle and writes its destinations directly.  Instantiated
+/// per opcode; null for commit-phase MOVs, which the loop copies inline.
+using NativeCommitFn = void (*)(const NativeResolvedOp&);
+
 /// One op with every operand resolved to a raw pointer for one CgaArray
 /// instance (filled per launch from the plan's NativeOpSpec).
 struct NativeResolvedOp {
   NativeExecFn fn = nullptr;
+  NativeCommitFn commit = nullptr; ///< commit-phase body (non-MOV only)
   const Word* a = nullptr;        ///< src1
   const Word* b = nullptr;        ///< src2 (plan immediate when kImm)
   const Word* c = nullptr;        ///< src3 (store data)
   Word* out = nullptr;            ///< the FU's output register
-  Word* lrfDst = nullptr;         ///< optional local-RF slot
-  Word* crfDst = nullptr;         ///< optional CDRF slot
+  Word* lrfDst = nullptr;         ///< local-RF slot, or the discard word
+  Word* crfDst = nullptr;         ///< CDRF slot, or the discard word
   const Word* mergeSrc = nullptr; ///< LD_IH: current-dst low half at commit
   u32 lat = 1;
   u32 schedTime = 0;              ///< guarded prologue/epilogue squashing
@@ -83,6 +110,7 @@ struct NativeEngine {
 /// outlive every launch).
 struct NativeOpSpec {
   NativeExecFn fn = nullptr;
+  NativeCommitFn commit = nullptr;
   u8 fu = 0;
   u8 lat = 1;
   u16 schedTime = 0;
@@ -97,6 +125,10 @@ struct NativeOpSpec {
 
 struct NativeContextInfo {
   u32 begin = 0;  ///< flat [begin, end) op range of this context slot
+  /// [begin, issueEnd) issue in the steady loop; [issueEnd, end) are the
+  /// context's commit-phase ops in read-before-write order, run at the
+  /// start of the next cycle.  Guarded cycles issue all of [begin, end).
+  u32 issueEnd = 0;
   u32 end = 0;
   u32 opCount = 0;
   /// No-retire cycle skip: the number of consecutive steady-state cycles,
@@ -133,6 +165,11 @@ struct NativePlan {
   NativeIterStats perIter;
   /// Max commits retiring on any single cycle (sizes the flat wheel).
   u32 maxCommitDepth = 1;
+  /// Commit-phase coverage: latency-1 compute ops, and how many of them
+  /// (and of them MOVs) run in the commit phase.
+  u32 latencyOneOps = 0;
+  u32 commitPhaseOps = 0;
+  u32 commitPhaseMovs = 0;
 };
 
 /// Specializes `plan` (built with all common sections filled) for the

@@ -56,6 +56,7 @@ void Processor::load(const Program& prog, ExecPolicy policy) {
   // external instruction memory holds, then decode back.
   textImage_ = encodeProgram(prog.bundles);
   prog_.bundles = decodeProgram(textImage_);
+  facts_ = buildBundleFacts(prog_.bundles);
 
   // Data segments into L1 and kernels into configuration memory over DMA,
   // as the platform host would.
@@ -260,21 +261,57 @@ bool usesSrc2(const Instr& in) {
   }
 }
 
+SlotFacts slotFacts(const Instr& in) {
+  SlotFacts f;
+  if (in.isNop()) return f;
+  f.latency = static_cast<u8>(opInfo(in.op).latency);
+  f.ops16 = static_cast<u8>(ops16PerInstr(in.op));
+  f.simd = isSimd(in.op);
+  f.usesSrc1 = usesSrc1(in);
+  f.usesSrc2 = usesSrc2(in);
+  f.usesSrc3 = isStore(in.op);
+  if (isBranch(in.op)) {
+    f.kind = SlotFacts::Kind::kBranch;
+  } else if (isStore(in.op)) {
+    f.kind = SlotFacts::Kind::kStore;
+  } else if (isLoad(in.op)) {
+    f.kind = SlotFacts::Kind::kLoad;
+  } else if (isPredDef(in.op)) {
+    f.kind = SlotFacts::Kind::kPredDef;
+  } else {
+    f.kind = SlotFacts::Kind::kCompute;
+  }
+  if (isLoad(in.op) || isStore(in.op)) {
+    f.memBytes = static_cast<u8>(memAccessBytes(in.op));
+    f.immScale = static_cast<u8>(memImmScale(in.op));
+  }
+  if (!isPredDef(in.op) && writesDataReg(in.op))
+    f.waitReg = static_cast<i8>(
+        (in.op == Opcode::JMPL || in.op == Opcode::BRL) ? kLinkReg : in.dst);
+  return f;
+}
+
 }  // namespace
 
-u64 Processor::operandReadyCycle(const Instr& in) const {
+std::vector<BundleFacts> buildBundleFacts(const std::vector<Bundle>& bundles) {
+  std::vector<BundleFacts> facts(bundles.size());
+  for (std::size_t i = 0; i < bundles.size(); ++i)
+    for (int s = 0; s < kVliwSlots; ++s)
+      facts[i][static_cast<std::size_t>(s)] = slotFacts(bundles[i].slot[s]);
+  return facts;
+}
+
+u64 Processor::operandReadyCycle(const Instr& in, const SlotFacts& f) const {
   u64 ready = cycle_;
-  if (in.isNop()) return ready;
+  if (f.kind == SlotFacts::Kind::kNop) return ready;
   if (in.guard != 0) ready = std::max(ready, predReady_[in.guard]);
-  if (usesSrc1(in)) ready = std::max(ready, regReady_[in.src1]);
-  if (usesSrc2(in)) ready = std::max(ready, regReady_[in.src2]);
-  if (isStore(in.op)) ready = std::max(ready, regReady_[in.src3]);
-  if (isPredDef(in.op)) {
+  if (f.usesSrc1) ready = std::max(ready, regReady_[in.src1]);
+  if (f.usesSrc2) ready = std::max(ready, regReady_[in.src2]);
+  if (f.usesSrc3) ready = std::max(ready, regReady_[in.src3]);
+  if (f.kind == SlotFacts::Kind::kPredDef) {
     ready = std::max(ready, predReady_[in.dst]);
-  } else if (writesDataReg(in.op)) {
-    const int d = (in.op == Opcode::JMPL || in.op == Opcode::BRL) ? kLinkReg
-                                                                  : in.dst;
-    ready = std::max(ready, regReady_[static_cast<std::size_t>(d)]);
+  } else if (f.waitReg >= 0) {
+    ready = std::max(ready, regReady_[static_cast<std::size_t>(f.waitReg)]);
   }
   return ready;
 }
@@ -342,6 +379,7 @@ StopReason Processor::run(u64 maxCycles) {
     if (pc_ >= prog_.bundles.size()) return StopReason::kOffEnd;
 
     const Bundle& b = prog_.bundles[pc_];
+    const BundleFacts& bf = facts_[pc_];
 
     // Region markers are a zero-cost profiling artifact.
     int regionId = 0;
@@ -370,7 +408,7 @@ StopReason Processor::run(u64 maxCycles) {
                   "cga must be alone in its bundle");
       const Instr& in = b.slot[0];
       // Wait for the guard predicate and trip-count register, then decide.
-      const u64 ready = std::max(operandReadyCycle(in), cycle_);
+      const u64 ready = std::max(operandReadyCycle(in, bf[0]), cycle_);
       if (ready > cycle_ && trace_)
         trace_->event({cycle_, ready - cycle_, TraceEventKind::kVliwStall, 0,
                        static_cast<u32>(StallCause::kHazard), 0});
@@ -442,7 +480,9 @@ StopReason Processor::run(u64 maxCycles) {
 
     // Hazard resolution: issue when every needed operand/dest is ready.
     u64 ready = cycle_;
-    for (const Instr& in : b.slot) ready = std::max(ready, operandReadyCycle(in));
+    for (int s = 0; s < kVliwSlots; ++s)
+      ready = std::max(ready,
+                       operandReadyCycle(b.slot[s], bf[static_cast<std::size_t>(s)]));
     for (int s = 0; s < kVliwSlots; ++s) {
       if (b.slot[s].op == Opcode::DIV || b.slot[s].op == Opcode::DIV_U)
         ready = std::max(ready, divBusyUntil_[static_cast<std::size_t>(s)]);
@@ -462,18 +502,19 @@ StopReason Processor::run(u64 maxCycles) {
 
     for (int s = 0; s < kVliwSlots; ++s) {
       const Instr& in = b.slot[s];
-      if (in.isNop()) continue;
+      const SlotFacts& f = bf[static_cast<std::size_t>(s)];
+      if (f.kind == SlotFacts::Kind::kNop) continue;
       if (in.guard != 0 && !crf_.readPred(in.guard)) continue;  // squashed
 
       ++act_.vliwOps;
       if (trace_)
         trace_->event({cycle_, 1, TraceEventKind::kVliwOp,
                        static_cast<u8>(s), static_cast<u32>(in.op), 0});
-      if (isSimd(in.op)) ++act_.simdOps;
-      act_.ops16 += static_cast<u64>(ops16PerInstr(in.op));
-      const int lat = opInfo(in.op).latency;
+      if (f.simd) ++act_.simdOps;
+      act_.ops16 += f.ops16;
+      const int lat = f.latency;
 
-      if (isBranch(in.op)) {
+      if (f.kind == SlotFacts::Kind::kBranch) {
         branched = true;
         advance = lat;  // fetch bubble until the branch resolves
         switch (in.op) {
@@ -497,15 +538,14 @@ StopReason Processor::run(u64 maxCycles) {
         continue;
       }
 
-      if (isStore(in.op)) {
+      if (f.kind == SlotFacts::Kind::kStore) {
         const u32 base = lo32u(crf_.read(in.src1));
-        const u32 off = in.useImm
-                            ? static_cast<u32>(in.imm << memImmScale(in.op))
-                            : lo32u(crf_.read(in.src2));
+        const u32 off = in.useImm ? static_cast<u32>(in.imm << f.immScale)
+                                  : lo32u(crf_.read(in.src2));
         const u32 addr = base + off;
         l1_.requestPort(cycle_, addr);
         const u32 v = storeData(in.op, crf_.read(in.src3));
-        switch (memAccessBytes(in.op)) {
+        switch (f.memBytes) {
           case 1: l1_.write8(addr, v); break;
           case 2: l1_.write16(addr, v); break;
           default: l1_.write32(addr, v); break;
@@ -513,15 +553,14 @@ StopReason Processor::run(u64 maxCycles) {
         continue;
       }
 
-      if (isLoad(in.op)) {
+      if (f.kind == SlotFacts::Kind::kLoad) {
         const u32 base = lo32u(crf_.read(in.src1));
-        const u32 off = in.useImm
-                            ? static_cast<u32>(in.imm << memImmScale(in.op))
-                            : lo32u(crf_.read(in.src2));
+        const u32 off = in.useImm ? static_cast<u32>(in.imm << f.immScale)
+                                  : lo32u(crf_.read(in.src2));
         const u32 addr = base + off;
         const int extra = l1_.requestPort(cycle_, addr);
         u32 raw = 0;
-        switch (memAccessBytes(in.op)) {
+        switch (f.memBytes) {
           case 1: raw = l1_.read8(addr); break;
           case 2: raw = l1_.read16(addr); break;
           default: raw = l1_.read32(addr); break;
@@ -548,7 +587,7 @@ StopReason Processor::run(u64 maxCycles) {
       if (in.op == Opcode::DIV || in.op == Opcode::DIV_U)
         divBusyUntil_[static_cast<std::size_t>(s)] = cycle_ + static_cast<u64>(lat);
       const u64 commit = cycle_ + static_cast<u64>(lat);
-      if (isPredDef(in.op)) {
+      if (f.kind == SlotFacts::Kind::kPredDef) {
         wheelPush({commit, true, in.dst, v, false});
         predReady_[in.dst] = commit;
       } else {

@@ -88,6 +88,31 @@ struct KernelLaunchProfile {
   std::map<std::pair<u8, u8>, u64> opsByClass;
 };
 
+/// Static facts of one VLIW slot, resolved once at Processor::load so the
+/// issue loop reads a table instead of re-classifying the opcode per step.
+struct SlotFacts {
+  /// Issue path, in the order the loop tests them (a control op other than
+  /// a whole-bundle CGA/HALT takes the compute path, as before).
+  enum class Kind : u8 { kNop, kBranch, kStore, kLoad, kPredDef, kCompute };
+  Kind kind = Kind::kNop;
+  u8 latency = 1;
+  u8 ops16 = 0;
+  u8 memBytes = 0;  ///< 1/2/4 for loads and stores
+  u8 immScale = 0;  ///< memory-immediate shift (memImmScale)
+  bool simd = false;
+  bool usesSrc1 = false;
+  bool usesSrc2 = false;
+  bool usesSrc3 = false;  ///< store data
+  /// Data register whose pending write the issue waits on (dst, or R9 for
+  /// JMPL/BRL); -1 when the op writes none.  Predicate-defining ops wait on
+  /// predReady_[dst] instead.
+  i8 waitReg = -1;
+};
+using BundleFacts = std::array<SlotFacts, kVliwSlots>;
+
+/// Resolves the facts of every slot of `bundles` (one entry per bundle).
+std::vector<BundleFacts> buildBundleFacts(const std::vector<Bundle>& bundles);
+
 class Processor {
  public:
   Processor();
@@ -184,7 +209,7 @@ class Processor {
 
   void commitDue(u64 upTo);
   void drainPipeline();
-  u64 operandReadyCycle(const Instr& in) const;
+  u64 operandReadyCycle(const Instr& in, const SlotFacts& f) const;
   void switchRegion(int id);
 
   void wheelPush(const PendingWrite& pw);
@@ -192,6 +217,9 @@ class Processor {
   void wheelGrow(u64 needSlots);
 
   Program prog_;
+  /// Per-bundle slot facts of prog_.bundles (built by a cold load; a warm
+  /// reload keeps them with the unchanged program).
+  std::vector<BundleFacts> facts_;
   std::shared_ptr<const ProgramPlans> plans_;
   std::vector<u8> textImage_;
 

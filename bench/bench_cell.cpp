@@ -34,6 +34,7 @@
 
 #include "bench_args.hpp"
 #include "cell/scheduler.hpp"
+#include "common/json_write.hpp"
 #include "platform/packet_farm.hpp"
 
 using namespace adres;
@@ -282,40 +283,30 @@ int main(int argc, char** argv) {
 
   if (jsonPath != "-") {
     std::ofstream os(jsonPath);
-    os << "{\n  \"schema\": \"adres.bench_cell.v1\",\n"
-       << "  \"exec_tier\": \"" << execTierName(tier) << "\",\n"
-       << "  \"num_symbols\": " << numSymbols << ",\n"
-       << "  \"rate_pps\": " << ratePps << ",\n"
-       << "  \"duration_ms\": " << durationMs << ",\n"
-       << "  \"deadline_us\": " << deadlineUs << ",\n"
-       << "  \"target_miss\": " << targetMiss << ",\n"
-       << "  \"seed\": " << seed << ",\n"
-       << "  \"host_workers\": " << hostWorkers << ",\n"
-       << "  \"service_us\": " << serviceUs << ",\n"
-       << "  \"server_capacity_pps\": " << capacityPps << ",\n"
-       << "  \"deterministic\": " << (deterministic ? "true" : "false")
-       << ",\n  \"rows\": [";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      os << (i ? ",\n" : "\n")
-         << "    {\"servers\": " << r.servers << ", \"users\": " << r.users
-         << ", \"offered\": " << r.offered
-         << ", \"delivered\": " << r.delivered << ", \"errors\": " << r.errors
-         << ", \"missed_late\": " << r.missedLate
-         << ", \"missed_expired\": " << r.missedExpired
-         << ", \"missed_overrun\": " << r.missedOverrun
-         << ", \"miss_rate\": " << r.missRate
-         << ", \"goodput_mbps\": " << r.goodputMbps
-         << ", \"utilization\": " << r.utilization
-         << ", \"lat_p50_us\": " << r.latP50Us
-         << ", \"lat_p99_us\": " << r.latP99Us
-         << ", \"wall_ms\": " << r.wallMs << "}";
+    constexpr auto kInline = JsonWriter::kInline;
+    JsonWriter w(os);
+    w.beginObject().field("schema", "adres.bench_cell.v1");
+    w.field("exec_tier", execTierName(tier)).field("num_symbols", numSymbols);
+    w.field("rate_pps", ratePps).field("duration_ms", durationMs);
+    w.field("deadline_us", deadlineUs).field("target_miss", targetMiss);
+    w.field("seed", seed).field("host_workers", hostWorkers);
+    w.field("service_us", serviceUs).field("server_capacity_pps", capacityPps);
+    w.field("deterministic", deterministic).key("rows").beginArray();
+    for (const Row& r : rows) {
+      w.beginObject(kInline).field("servers", r.servers);
+      w.field("users", r.users).field("offered", r.offered);
+      w.field("delivered", r.delivered).field("errors", r.errors);
+      w.field("missed_late", r.missedLate);
+      w.field("missed_expired", r.missedExpired);
+      w.field("missed_overrun", r.missedOverrun);
+      w.field("miss_rate", r.missRate).field("goodput_mbps", r.goodputMbps);
+      w.field("utilization", r.utilization).field("lat_p50_us", r.latP50Us);
+      w.field("lat_p99_us", r.latP99Us).field("wall_ms", r.wallMs).end();
     }
-    os << "\n  ],\n  \"sustained\": [";
-    for (std::size_t i = 0; i < sustained.size(); ++i)
-      os << (i ? ",\n" : "\n") << "    {\"servers\": " << sustained[i].first
-         << ", \"users\": " << sustained[i].second << "}";
-    os << "\n  ]\n}\n";
+    w.end().key("sustained").beginArray();
+    for (const auto& [s, u] : sustained)
+      w.beginObject(kInline).field("servers", s).field("users", u).end();
+    w.end().end();
     std::printf("wrote %s\n", jsonPath.c_str());
   }
 

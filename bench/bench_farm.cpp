@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "bench_args.hpp"
+#include "common/json_write.hpp"
 #include "dsp/channel.hpp"
 #include "obs/metrics_server.hpp"
 #include "obs/slo.hpp"
@@ -351,35 +352,31 @@ int main(int argc, char** argv) {
 
   if (jsonPath != "-") {
     std::ofstream os(jsonPath);
-    os << "{\n  \"schema\": \"adres.bench_farm.v1\",\n"
-       << "  \"exec_tier\": \"" << execTierName(tier) << "\",\n"
-       << "  \"sentinel_rate\": " << (sentinelRate >= 0 ? sentinelRate : 0.0)
-       << ",\n"
-       << "  \"packets\": " << numPackets << ",\n"
-       << "  \"num_symbols\": " << numSymbols << ",\n"
-       << "  \"total_bits\": " << totalBits << ",\n"
-       << "  \"hardware_threads\": " << hw << ",\n  \"rows\": [";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      os << (i ? ",\n" : "\n")
-         << "    {\"workers\": " << r.workers << ", \"wall_ms\": " << r.wallMs
-         << ", \"packets_per_sec\": " << r.pps << ", \"mbps\": " << r.mbps
-         << ", \"speedup\": " << r.speedup
-         << ", \"efficiency\": " << r.efficiency
-         << ", \"p50_us\": " << r.p50Us << ", \"p99_us\": " << r.p99Us
-         << ", \"queue_wait_p50_us\": " << r.queueWaitP50Us
-         << ", \"queue_wait_p99_us\": " << r.queueWaitP99Us
-         << ", \"queue_wait_share\": " << r.queueWaitShare
-         << ", \"submit_ms\": " << r.submitMs
-         << ", \"submit_jobs_per_sec\": " << r.submitPps
-         << ", \"submit_backpressure_ms\": " << r.backpressureMs
-         << ", \"submit_backpressure_share\": " << r.backpressureShare
-         << ", \"avg_power_mw\": " << r.avgPowerMw << ", \"ber\": " << r.ber
-         << ", \"sentinel_sampled\": " << r.sentinelSampled
-         << ", \"divergences\": " << r.divergences
-         << ", \"bit_exact\": " << (r.bitExact ? "true" : "false") << "}";
+    JsonWriter w(os);
+    w.beginObject().field("schema", "adres.bench_farm.v1");
+    w.field("exec_tier", execTierName(tier));
+    w.field("sentinel_rate", sentinelRate >= 0 ? sentinelRate : 0.0);
+    w.field("packets", numPackets).field("num_symbols", numSymbols);
+    w.field("total_bits", totalBits).field("hardware_threads", hw);
+    w.key("rows").beginArray();
+    for (const Row& r : rows) {
+      w.beginObject(JsonWriter::kInline).field("workers", r.workers);
+      w.field("wall_ms", r.wallMs).field("packets_per_sec", r.pps);
+      w.field("mbps", r.mbps).field("speedup", r.speedup);
+      w.field("efficiency", r.efficiency).field("p50_us", r.p50Us);
+      w.field("p99_us", r.p99Us).field("queue_wait_p50_us", r.queueWaitP50Us);
+      w.field("queue_wait_p99_us", r.queueWaitP99Us);
+      w.field("queue_wait_share", r.queueWaitShare);
+      w.field("submit_ms", r.submitMs);
+      w.field("submit_jobs_per_sec", r.submitPps);
+      w.field("submit_backpressure_ms", r.backpressureMs);
+      w.field("submit_backpressure_share", r.backpressureShare);
+      w.field("avg_power_mw", r.avgPowerMw).field("ber", r.ber);
+      w.field("sentinel_sampled", r.sentinelSampled);
+      w.field("divergences", r.divergences).field("bit_exact", r.bitExact);
+      w.end();
     }
-    os << "\n  ]\n}\n";
+    w.end().end();
     printf("wrote %s\n", jsonPath.c_str());
   }
 

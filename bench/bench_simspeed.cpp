@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_args.hpp"
+#include "common/json_write.hpp"
 #include "dsp/channel.hpp"
 #include "platform/packet_farm.hpp"
 #include "support/kernel_fixture.hpp"
@@ -242,41 +243,28 @@ int main(int argc, char** argv) {
          pps, farmPackets, fcfg.numSymbols, workers);
 
   if (jsonPath != "-") {
+    constexpr auto kInline = JsonWriter::kInline;
     std::ofstream os(jsonPath);
-    os << "{\n  \"schema\": \"adres.bench_simspeed.v1\",\n  \"execTier\": \""
-       << execTierName(tier) << "\",\n  \"kernels\": [\n";
-    for (std::size_t i = 0; i < kernels.size(); ++i) {
-      const Measure& m = kernels[i];
-      char buf[256];
-      snprintf(buf, sizeof buf,
-               "    {\"name\": \"%s\", \"simCycles\": %llu, \"runs\": %llu, "
-               "\"hostMs\": %.1f, \"mcyclesPerSec\": %.3f}%s\n",
-               m.name.c_str(), static_cast<unsigned long long>(m.simCycles),
-               static_cast<unsigned long long>(m.runs), m.hostMs,
-               m.mcyclesPerSec(), i + 1 < kernels.size() ? "," : "");
-      os << buf;
+    JsonWriter w(os);
+    w.beginObject().field("schema", "adres.bench_simspeed.v1");
+    w.field("execTier", execTierName(tier)).key("kernels").beginArray();
+    for (const Measure& m : kernels) {
+      w.beginObject(kInline).field("name", m.name);
+      w.field("simCycles", m.simCycles).field("runs", m.runs);
+      w.field("hostMs", m.hostMs).field("mcyclesPerSec", m.mcyclesPerSec());
+      w.end();
     }
-    os << "  ],\n";
-    char buf[512];
-    snprintf(buf, sizeof buf,
-             "  \"modem\": {\"numSymbols\": %d, \"simCycles\": %llu, "
-             "\"runs\": %llu, \"hostMs\": %.1f, \"mcyclesPerSec\": %.3f, "
-             "\"msPerPacket\": %.3f},\n",
-             cfg.numSymbols, static_cast<unsigned long long>(mm.simCycles),
-             static_cast<unsigned long long>(mm.runs), mm.hostMs,
-             mm.mcyclesPerSec(), mm.hostMs / static_cast<double>(mm.runs));
-    os << buf;
-    snprintf(buf, sizeof buf,
-             "  \"farm\": {\"packets\": %d, \"numSymbols\": %d, "
-             "\"workers\": %d, \"wallMs\": %.1f, \"packetsPerSec\": %.1f},\n",
-             farmPackets, fcfg.numSymbols, workers, farmMs, pps);
-    os << buf;
-    snprintf(buf, sizeof buf,
-             "  \"observability\": {\"offMs\": %.1f, \"onMs\": %.1f, "
-             "\"overheadPct\": %.2f, \"pairedRuns\": %llu}\n}\n",
-             obsOffMs, obsOnMs, overheadPct,
-             static_cast<unsigned long long>(obsRuns));
-    os << buf;
+    w.end().key("modem").beginObject(kInline);
+    w.field("numSymbols", cfg.numSymbols).field("simCycles", mm.simCycles);
+    w.field("runs", mm.runs).field("hostMs", mm.hostMs);
+    w.field("mcyclesPerSec", mm.mcyclesPerSec());
+    w.field("msPerPacket", mm.hostMs / static_cast<double>(mm.runs)).end();
+    w.key("farm").beginObject(kInline).field("packets", farmPackets);
+    w.field("numSymbols", fcfg.numSymbols).field("workers", workers);
+    w.field("wallMs", farmMs).field("packetsPerSec", pps).end();
+    w.key("observability").beginObject(kInline).field("offMs", obsOffMs);
+    w.field("onMs", obsOnMs).field("overheadPct", overheadPct);
+    w.field("pairedRuns", obsRuns).end().end();
     printf("wrote %s\n", jsonPath.c_str());
   }
   if (overheadMaxPct >= 0 && overheadPct > overheadMaxPct) {

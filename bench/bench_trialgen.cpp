@@ -20,6 +20,7 @@
 
 #include "bench_args.hpp"
 #include "campaign/runner.hpp"
+#include "common/json_write.hpp"
 #include "dsp/frontend.hpp"
 #include "platform/rx_session.hpp"
 
@@ -228,22 +229,21 @@ int main(int argc, char** argv) {
 
   if (jsonPath != "-") {
     std::ofstream os(jsonPath);
-    os << "{\n  \"schema\": \"adres.bench_trialgen.v1\",\n"
-       << "  \"cell\": \"qam64 s4 t3 cfo10 snr" << snrDb << "\",\n"
-       << "  \"stage_trials\": " << stageTrials << ",\n"
-       << "  \"e2e_trials\": " << e2eTrials << ",\n"
-       << "  \"workers\": " << workers << ",\n  \"stages\": [";
-    for (std::size_t i = 0; i < stages.size(); ++i) {
-      const StageRow& r = stages[i];
-      os << (i ? ",\n" : "\n") << "    {\"stage\": \"" << r.stage
-         << "\", \"scalar_us_per_trial\": " << r.scalarUs
-         << ", \"vectorized_us_per_trial\": " << r.vectorUs
-         << ", \"speedup\": " << r.speedup
-         << ", \"bit_identical\": " << (r.identical ? "true" : "false") << "}";
+    JsonWriter w(os);
+    w.beginObject().field("schema", "adres.bench_trialgen.v1");
+    w.field("cell", "qam64 s4 t3 cfo10 snr" + telemetryNumber(snrDb));
+    w.field("stage_trials", stageTrials).field("e2e_trials", e2eTrials);
+    w.field("workers", workers).key("stages").beginArray();
+    for (const StageRow& r : stages) {
+      w.beginObject(JsonWriter::kInline).field("stage", r.stage);
+      w.field("scalar_us_per_trial", r.scalarUs);
+      w.field("vectorized_us_per_trial", r.vectorUs);
+      w.field("speedup", r.speedup).field("bit_identical", r.identical).end();
     }
-    os << "\n  ],\n  \"e2e\": {\"producers\": " << producers
-       << ", \"wall_ms\": " << e2eWallMs
-       << ", \"trials_per_sec\": " << e2eTrialsPerSec << "}\n}\n";
+    w.end().key("e2e").beginObject(JsonWriter::kInline);
+    w.field("producers", producers);
+    w.field("wall_ms", e2eWallMs).field("trials_per_sec", e2eTrialsPerSec);
+    w.end().end();
     printf("wrote %s\n", jsonPath.c_str());
   }
 

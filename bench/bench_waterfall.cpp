@@ -24,6 +24,7 @@
 
 #include "bench_args.hpp"
 #include "campaign/runner.hpp"
+#include "common/json_write.hpp"
 #include "obs/metrics_server.hpp"
 
 using namespace adres;
@@ -197,29 +198,29 @@ int main(int argc, char** argv) {
   }
   if (jsonPath != "-") {
     std::ofstream os(jsonPath);
-    os << "{\n  \"schema\": \"adres.bench_waterfall.v1\",\n"
-       << "  \"monotone\": " << (monotone ? "true" : "false") << ",\n"
-       << "  \"min_snr_zero_error_100mbps_db\": " << minSnr100 << ",\n"
-       << "  \"trials\": " << flat.trialsRun << ",\n"
-       << "  \"wall_ms\": " << flatMs << ",\n  \"cells\": [";
-    bool first = true;
-    auto emitJson = [&os, &first, &cfg](const campaign::CampaignResult& res) {
+    JsonWriter w(os);
+    w.beginObject().field("schema", "adres.bench_waterfall.v1");
+    w.field("monotone", monotone);
+    w.field("min_snr_zero_error_100mbps_db", minSnr100);
+    w.field("trials", flat.trialsRun).field("wall_ms", flatMs);
+    w.key("cells").beginArray();
+    const auto emitJson = [&w, &cfg](const campaign::CampaignResult& res) {
       for (std::size_t i = 0; i < res.cells.size(); ++i) {
         const campaign::CellResult& r = res.results[i];
         if (!r.done) continue;
         const campaign::Interval ci = campaign::wilson(
             r.packetErrors, r.trials, cfg.sweep.stop.confidence);
-        os << (first ? "\n" : ",\n") << "    {\"cell\": \""
-           << campaign::cellLabel(res.cells[i]) << "\", \"trials\": "
-           << r.trials << ", \"per\": " << r.per() << ", \"per_ci_lo\": "
-           << ci.lo << ", \"per_ci_hi\": " << ci.hi << ", \"ber\": " << r.ber()
-           << ", \"energy_nj_per_bit\": " << r.energyPerBitNj() << "}";
-        first = false;
+        w.beginObject(JsonWriter::kInline);
+        w.field("cell", campaign::cellLabel(res.cells[i]));
+        w.field("trials", r.trials).field("per", r.per());
+        w.field("per_ci_lo", ci.lo).field("per_ci_hi", ci.hi);
+        w.field("ber", r.ber()).field("energy_nj_per_bit", r.energyPerBitNj());
+        w.end();
       }
     };
     emitJson(flat);
     if (fading) emitJson(faded);
-    os << "\n  ]\n}\n";
+    w.end().end();
     std::printf("wrote %s\n", jsonPath.c_str());
   }
   if (server) server->stop();

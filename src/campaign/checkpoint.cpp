@@ -1,30 +1,26 @@
 #include "campaign/checkpoint.hpp"
 
-#include <cstdio>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
 #include "common/check.hpp"
 #include "common/json_min.hpp"
+#include "common/json_write.hpp"
 
 namespace adres::campaign {
 namespace {
 
-std::string hex64(u64 v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+using Exact = JsonWriter::Exact;
+using Hex = JsonWriter::Hex;
 
-std::string fmtDouble(double d) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  return buf;
-}
-
-u64 asU64(const json::JsonValue& v) {
-  // Counters stay below 2^53, so the double round-trip is exact.
+/// A checkpoint counter: an integer in [0, 2^53], exact through a double.
+u64 asU64(const json::JsonValue& cell, const char* key) {
+  const json::JsonValue& v = cell.at(key);
+  ADRES_CHECK(v.type == json::JsonValue::kNumber && v.number >= 0 &&
+                  v.number <= 0x1p53 && v.number == std::floor(v.number),
+              "checkpoint counter '" << key
+                                     << "' is not an integer in [0, 2^53]");
   return static_cast<u64>(v.number);
 }
 
@@ -34,55 +30,39 @@ void writeCheckpoint(std::ostream& os, const SweepSpec& spec,
                      const std::vector<CellSpec>& cells,
                      const std::vector<CellResult>& results) {
   ADRES_CHECK(cells.size() == results.size(), "cells/results size mismatch");
-  os << "{\n";
-  os << "  \"schema\": \"" << kCheckpointSchema << "\",\n";
-  os << "  \"specHash\": \"" << hex64(stableHash(spec)) << "\",\n";
-  os << "  \"cells\": [";
-  bool first = true;
+  JsonWriter w(os);
+  w.beginObject().field("schema", kCheckpointSchema);
+  w.field("specHash", Hex{stableHash(spec)}).key("cells").beginArray();
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellSpec& c = cells[i];
     const CellResult& r = results[i];
     if (!r.done) continue;
-    if (!first) os << ",";
-    first = false;
     const Interval ci = wilson(r.packetErrors, r.trials, spec.stop.confidence);
-    os << "\n    {\"key\": \"" << hex64(c.key()) << "\""
-       << ", \"label\": \"" << cellLabel(c) << "\""
-       << ", \"mod\": " << static_cast<int>(c.modem.mod)
-       << ", \"numSymbols\": " << c.modem.numSymbols
-       << ", \"taps\": " << c.channel.taps
-       << ", \"delaySpread\": " << fmtDouble(c.channel.delaySpread)
-       << ", \"cfoPpm\": " << fmtDouble(c.channel.cfoPpm)
-       << ", \"snrDb\": " << fmtDouble(c.channel.snrDb) << ",\n"
-       << "     \"trials\": " << r.trials << ", \"bits\": " << r.bits
-       << ", \"bitErrors\": " << r.bitErrors
-       << ", \"packetErrors\": " << r.packetErrors
-       << ", \"lostPackets\": " << r.lostPackets
-       << ", \"cycles\": " << r.cycles
-       << ", \"discardedTrials\": " << r.discardedTrials
-       << ", \"stopReason\": \"" << r.stopReason << "\",\n"
-       << "     \"energyNj\": " << fmtDouble(r.energyNj)
-       << ", \"per\": " << fmtDouble(r.per())
-       << ", \"ber\": " << fmtDouble(r.ber())
-       << ", \"perCiLo\": " << fmtDouble(ci.lo)
-       << ", \"perCiHi\": " << fmtDouble(ci.hi)
-       << ", \"energyPerBitNj\": " << fmtDouble(r.energyPerBitNj()) << "}";
+    w.beginObject(JsonWriter::kInline).field("key", Hex{c.key()});
+    w.field("label", cellLabel(c)).field("mod", static_cast<int>(c.modem.mod));
+    w.field("numSymbols", c.modem.numSymbols).field("taps", c.channel.taps);
+    w.field("delaySpread", Exact{c.channel.delaySpread});
+    w.field("cfoPpm", Exact{c.channel.cfoPpm});
+    w.field("snrDb", Exact{c.channel.snrDb}).lineBreak();
+    w.field("trials", r.trials).field("bits", r.bits);
+    w.field("bitErrors", r.bitErrors).field("packetErrors", r.packetErrors);
+    w.field("lostPackets", r.lostPackets).field("cycles", r.cycles);
+    w.field("discardedTrials", r.discardedTrials);
+    w.field("stopReason", r.stopReason).lineBreak();
+    w.field("energyNj", Exact{r.energyNj}).field("per", Exact{r.per()});
+    w.field("ber", Exact{r.ber()}).field("perCiLo", Exact{ci.lo});
+    w.field("perCiHi", Exact{ci.hi});
+    w.field("energyPerBitNj", Exact{r.energyPerBitNj()}).end();
   }
-  os << "\n  ]\n}\n";
+  w.end().end();
 }
 
 void writeCheckpointFile(const std::string& path, const SweepSpec& spec,
                          const std::vector<CellSpec>& cells,
                          const std::vector<CellResult>& results) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    ADRES_CHECK(os.good(), "cannot open checkpoint tmp file");
+  writeJsonFile(path, [&](std::ostream& os) {
     writeCheckpoint(os, spec, cells, results);
-    ADRES_CHECK(os.good(), "checkpoint write failed");
-  }
-  ADRES_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-              "checkpoint rename failed");
+  });
 }
 
 std::map<u64, CellResult> loadCheckpoint(std::istream& is,
@@ -97,16 +77,19 @@ std::map<u64, CellResult> loadCheckpoint(std::istream& is,
               "checkpoint was written by a different sweep spec");
   std::map<u64, CellResult> out;
   for (const json::JsonValue& cell : root.at("cells").array) {
-    const u64 key = std::stoull(cell.at("key").str, nullptr, 16);
+    const u64 key = parseHex64(cell.at("key").str);
     CellResult r;
-    r.trials = asU64(cell.at("trials"));
-    r.bits = asU64(cell.at("bits"));
-    r.bitErrors = asU64(cell.at("bitErrors"));
-    r.packetErrors = asU64(cell.at("packetErrors"));
-    r.lostPackets = asU64(cell.at("lostPackets"));
-    r.cycles = asU64(cell.at("cycles"));
-    r.discardedTrials = asU64(cell.at("discardedTrials"));
+    r.trials = asU64(cell, "trials");
+    r.bits = asU64(cell, "bits");
+    r.bitErrors = asU64(cell, "bitErrors");
+    r.packetErrors = asU64(cell, "packetErrors");
+    r.lostPackets = asU64(cell, "lostPackets");
+    r.cycles = asU64(cell, "cycles");
+    r.discardedTrials = asU64(cell, "discardedTrials");
     r.stopReason = cell.at("stopReason").str;
+    ADRES_CHECK(r.stopReason == "ci" || r.stopReason == "errorBudget" ||
+                    r.stopReason == "maxTrials",
+                "unknown checkpoint stopReason '" << r.stopReason << '\'');
     r.energyNj = cell.at("energyNj").number;
     r.done = true;
     out.emplace(key, std::move(r));

@@ -33,8 +33,9 @@ void writeCheckpointFile(const std::string& path, const SweepSpec& spec,
                          const std::vector<CellResult>& results);
 
 /// Parses a checkpoint and returns completed cells keyed by CellSpec::key().
-/// ADRES_CHECKs the schema string and that specHash matches `spec` — a
-/// checkpoint never silently resumes a different sweep.
+/// ADRES_CHECKs the schema, that specHash matches `spec` (a checkpoint
+/// never silently resumes a different sweep), 16-hex-digit keys, counters
+/// in [0, 2^53] and a known stopReason.
 std::map<u64, CellResult> loadCheckpoint(std::istream& is,
                                          const SweepSpec& spec);
 

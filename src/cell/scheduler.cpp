@@ -2,27 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <ostream>
 
 #include "common/check.hpp"
+#include "common/json_write.hpp"
 
 namespace adres::cell {
 namespace {
 
-std::string hex64(u64 v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string fmtDouble(double d) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  return buf;
-}
+using Exact = JsonWriter::Exact;
 
 u64 relaxed(const std::atomic<u64>& a) {
   return a.load(std::memory_order_relaxed);
@@ -304,68 +292,56 @@ void CellScheduler::registerMetrics(obs::MetricsRegistry& reg) const {
 
 void CellScheduler::writeSummary(std::ostream& os) const {
   const obs::HistogramSnapshot cellLat = latencySnapshot();
-  os << "{\n";
-  os << "  \"schema\": \"adres.cell.v1\",\n";
-  os << "  \"scenarioHash\": \"" << hex64(stableHash(scenario_)) << "\",\n";
-  os << "  \"seed\": " << scenario_.seed << ",\n";
-  os << "  \"servers\": " << scenario_.numServers << ",\n";
-  os << "  \"durationUs\": " << fmtDouble(scenario_.durationUs) << ",\n";
-  os << "  \"mod\": " << static_cast<int>(scenario_.modem.mod)
-     << ", \"numSymbols\": " << scenario_.modem.numSymbols << ",\n";
-  os << "  \"flows\": " << flows_.size()
-     << ", \"packets\": " << schedule_.size() << ",\n";
-  os << "  \"offered\": " << totals_.offered
-     << ", \"delivered\": " << totals_.delivered
-     << ", \"errors\": " << totals_.errors
-     << ", \"missedLate\": " << totals_.missedLate
-     << ", \"missedExpired\": " << totals_.missedExpired
-     << ", \"missedOverrun\": " << totals_.missedOverrun << ",\n";
-  os << "  \"missRate\": " << fmtDouble(totals_.missRate())
-     << ", \"goodputMbps\": "
-     << fmtDouble(totals_.goodputMbps(scenario_, goodputBits()))
-     << ", \"makespanUs\": " << fmtDouble(totals_.makespanUs)
-     << ", \"utilization\": " << fmtDouble(totals_.utilization) << ",\n";
-  os << "  \"latencyP50Us\": " << fmtDouble(cellLat.quantile(0.5) * 1e-3)
-     << ", \"latencyP99Us\": " << fmtDouble(cellLat.quantile(0.99) * 1e-3)
-     << ",\n";
-  os << "  \"perFlow\": [";
+  const CellTotals& t = totals_;
+  JsonWriter w(os);
+  w.beginObject(JsonWriter::kInline).lineBreak();
+  w.field("schema", "adres.cell.v1").lineBreak();
+  w.field("scenarioHash", JsonWriter::Hex{stableHash(scenario_)}).lineBreak();
+  w.field("seed", scenario_.seed).lineBreak();
+  w.field("servers", scenario_.numServers).lineBreak();
+  w.field("durationUs", Exact{scenario_.durationUs}).lineBreak();
+  w.field("mod", static_cast<int>(scenario_.modem.mod));
+  w.field("numSymbols", scenario_.modem.numSymbols).lineBreak();
+  w.field("flows", flows_.size()).field("packets", schedule_.size());
+  w.lineBreak().field("offered", t.offered).field("delivered", t.delivered);
+  w.field("errors", t.errors).field("missedLate", t.missedLate);
+  w.field("missedExpired", t.missedExpired);
+  w.field("missedOverrun", t.missedOverrun).lineBreak();
+  w.field("missRate", Exact{t.missRate()});
+  w.field("goodputMbps", Exact{t.goodputMbps(scenario_, goodputBits())});
+  w.field("makespanUs", Exact{t.makespanUs});
+  w.field("utilization", Exact{t.utilization}).lineBreak();
+  w.field("latencyP50Us", Exact{cellLat.quantile(0.5) * 1e-3});
+  w.field("latencyP99Us", Exact{cellLat.quantile(0.99) * 1e-3}).lineBreak();
+  w.key("perFlow").beginArray();
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     const UserFlow& f = flows_[i];
     const FlowStats& fs = *flowStats_[i];
     const obs::HistogramSnapshot lat = fs.latencyNs.snapshot();
-    if (i) os << ",";
-    os << "\n    {\"flow\": " << f.id << ", \"class\": \""
-       << scenario_.classes[static_cast<std::size_t>(f.classIdx)].name
-       << "\", \"distanceM\": " << fmtDouble(f.distanceM)
-       << ", \"snrDb\": " << fmtDouble(flowSnr0Db_[i])
-       << ", \"deadlineUs\": " << fmtDouble(f.deadlineUs) << ",\n"
-       << "     \"offered\": " << relaxed(fs.offered)
-       << ", \"delivered\": " << relaxed(fs.delivered)
-       << ", \"errors\": " << relaxed(fs.errors)
-       << ", \"missedLate\": " << relaxed(fs.missedLate)
-       << ", \"missedExpired\": " << relaxed(fs.missedExpired)
-       << ", \"missedOverrun\": " << relaxed(fs.missedOverrun)
-       << ", \"bitErrors\": " << relaxed(fs.bitErrors) << ",\n"
-       << "     \"missRate\": " << fmtDouble(fs.missRate())
-       << ", \"goodputBits\": " << relaxed(fs.goodputBits)
-       << ", \"latencySumNs\": " << relaxed(fs.latencySumNs)
-       << ", \"latencyP50Us\": " << fmtDouble(lat.quantile(0.5) * 1e-3)
-       << ", \"latencyP99Us\": " << fmtDouble(lat.quantile(0.99) * 1e-3)
-       << "}";
+    w.beginObject(JsonWriter::kInline).field("flow", f.id);
+    w.field("class",
+            scenario_.classes[static_cast<std::size_t>(f.classIdx)].name);
+    w.field("distanceM", Exact{f.distanceM});
+    w.field("snrDb", Exact{flowSnr0Db_[i]});
+    w.field("deadlineUs", Exact{f.deadlineUs}).lineBreak();
+    w.field("offered", relaxed(fs.offered));
+    w.field("delivered", relaxed(fs.delivered));
+    w.field("errors", relaxed(fs.errors));
+    w.field("missedLate", relaxed(fs.missedLate));
+    w.field("missedExpired", relaxed(fs.missedExpired));
+    w.field("missedOverrun", relaxed(fs.missedOverrun));
+    w.field("bitErrors", relaxed(fs.bitErrors)).lineBreak();
+    w.field("missRate", Exact{fs.missRate()});
+    w.field("goodputBits", relaxed(fs.goodputBits));
+    w.field("latencySumNs", relaxed(fs.latencySumNs));
+    w.field("latencyP50Us", Exact{lat.quantile(0.5) * 1e-3});
+    w.field("latencyP99Us", Exact{lat.quantile(0.99) * 1e-3}).end();
   }
-  os << "\n  ]\n}\n";
+  w.end().lineBreak().end();
 }
 
 void CellScheduler::writeSummaryFile(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    ADRES_CHECK(os.good(), "cannot open cell summary tmp file");
-    writeSummary(os);
-    ADRES_CHECK(os.good(), "cell summary write failed");
-  }
-  ADRES_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-              "cell summary rename failed");
+  writeJsonFile(path, [this](std::ostream& os) { writeSummary(os); });
 }
 
 bool CellScheduler::selfCheck(std::string* why) const {

@@ -154,7 +154,7 @@ class JsonParser {
                                  std::isdigit(h) ? h - '0'
                                                  : std::tolower(h) - 'a' + 10);
             }
-            // jsonEscape only emits \u00XX for control bytes; wider
+            // JsonWriter only emits \u00XX for control bytes; wider
             // code points are irrelevant here and collapse to '?'.
             v.str += cp < 0x80 ? static_cast<char>(cp) : '?';
             break;

@@ -1,7 +1,5 @@
 #include "obs/buildinfo.hpp"
 
-#include "common/json_write.hpp"
-
 #ifndef ADRES_VERSION
 #define ADRES_VERSION "0.0.0"
 #endif
@@ -40,13 +38,16 @@ const BuildInfo& buildInfo() {
 }
 
 void writeBuildInfoJson(std::ostream& os) {
+  JsonWriter w(os);
+  writeBuildInfoJson(w);
+}
+
+void writeBuildInfoJson(JsonWriter& w) {
   const BuildInfo& b = buildInfo();
-  os << "{\n  \"schema\": \"adres.buildinfo.v1\",\n"
-     << "  \"version\": \"" << jsonEscape(b.version) << "\",\n"
-     << "  \"git_describe\": \"" << jsonEscape(b.gitDescribe) << "\",\n"
-     << "  \"build_type\": \"" << jsonEscape(b.buildType) << "\",\n"
-     << "  \"sanitize\": \"" << jsonEscape(b.sanitize) << "\",\n"
-     << "  \"compiler\": \"" << jsonEscape(b.compiler) << "\"\n}\n";
+  w.beginObject().field("schema", "adres.buildinfo.v1");
+  w.field("version", b.version).field("git_describe", b.gitDescribe);
+  w.field("build_type", b.buildType).field("sanitize", b.sanitize);
+  w.field("compiler", b.compiler).end();
 }
 
 }  // namespace adres::obs

@@ -8,6 +8,8 @@
 #include <ostream>
 #include <string>
 
+#include "common/json_write.hpp"
+
 namespace adres::obs {
 
 struct BuildInfo {
@@ -22,5 +24,6 @@ const BuildInfo& buildInfo();
 
 /// Versioned JSON: {"schema":"adres.buildinfo.v1", ...}.
 void writeBuildInfoJson(std::ostream& os);
+void writeBuildInfoJson(JsonWriter& w);
 
 }  // namespace adres::obs

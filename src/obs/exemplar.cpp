@@ -1,8 +1,6 @@
 #include "obs/exemplar.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -10,36 +8,6 @@
 #include "trace/export.hpp"
 
 namespace adres::obs {
-namespace {
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", std::isfinite(v) ? v : 0.0);
-  return buf;
-}
-
-void writeExemplarFile(std::ostream& os, const trace::PacketSpans& spans,
-                       const std::vector<TraceEvent>& ringEvents,
-                       u64 ringAccepted, u64 ringDropped,
-                       std::size_t ringCapacity, double latencyUs,
-                       double queueWaitUs, u64 simCycles) {
-  os << "{\n  \"schema\": \"adres.exemplar.v1\",\n"
-     << "  \"trace_id\": \"" << trace::traceIdHex(spans.traceId) << "\",\n"
-     << "  \"job_id\": " << spans.jobId << ",\n"
-     << "  \"worker\": " << spans.worker << ",\n"
-     << "  \"tag\": " << spans.tag << ",\n"
-     << "  \"latency_us\": " << fmt(latencyUs) << ",\n"
-     << "  \"queue_wait_us\": " << fmt(queueWaitUs) << ",\n"
-     << "  \"sim_cycles\": " << simCycles << ",\n  \"spans\": [";
-  trace::writeSpanJsonEntries(spans.spans, os, 4);
-  os << "\n  ],\n  \"ring\": {\n    \"capacity\": " << ringCapacity
-     << ",\n    \"accepted\": " << ringAccepted
-     << ",\n    \"dropped\": " << ringDropped << ",\n    \"events\": [";
-  trace::writeTraceEventJsonEntries(ringEvents, os, 6);
-  os << "\n    ]\n  }\n}\n";
-}
-
-}  // namespace
 
 ExemplarStore::ExemplarStore(ExemplarConfig cfg) : cfg_(std::move(cfg)) {
   std::error_code ec;
@@ -94,8 +62,17 @@ bool ExemplarStore::maybeCapture(const trace::PacketSpans& spans,
 
   {
     std::ofstream os(tmp, std::ios::trunc);
-    writeExemplarFile(os, spans, ringEvents, ringAccepted, ringDropped,
-                      ringCapacity, latencyUs, queueWaitUs, simCycles);
+    JsonWriter w(os);
+    w.beginObject().field("schema", "adres.exemplar.v1");
+    w.field("trace_id", JsonWriter::Hex{spans.traceId});
+    w.field("job_id", spans.jobId).field("worker", spans.worker);
+    w.field("tag", spans.tag).field("latency_us", latencyUs);
+    w.field("queue_wait_us", queueWaitUs).field("sim_cycles", simCycles);
+    trace::writeSpansJson(w.key("spans"), spans.spans);
+    w.key("ring").beginObject().field("capacity", ringCapacity);
+    w.field("accepted", ringAccepted).field("dropped", ringDropped);
+    trace::writeTraceEventsJson(w.key("events"), ringEvents);
+    w.end().end();
   }
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);

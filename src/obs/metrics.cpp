@@ -2,21 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-
-#include "common/json_write.hpp"
 
 namespace adres::obs {
 namespace {
 
 double finiteOrZero(double v) { return std::isfinite(v) ? v : 0.0; }
-
-/// Shortest round-trippable-enough representation for the exporters.
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", finiteOrZero(v));
-  return buf;
-}
 
 /// Prometheus label-value escaping.  The exposition format defines only
 /// \\, \" and \n; control bytes are dropped.
@@ -61,14 +51,22 @@ std::string promLabelsWith(const Labels& labels, const char* key,
   return promLabels(l);
 }
 
-void jsonLabels(std::ostream& os, const Labels& labels) {
-  os << '{';
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (i) os << ", ";
-    os << '"' << jsonEscape(labels[i].first) << "\": \""
-       << jsonEscape(labels[i].second) << '"';
-  }
-  os << '}';
+void jsonLabels(JsonWriter& w, const Labels& labels) {
+  w.key("labels").beginObject(JsonWriter::kInline);
+  for (const auto& [k, v] : labels) w.field(k, v);
+  w.end();
+}
+
+/// The name, labels and moments a summary and a histogram share.
+template <class Sample>
+void jsonHistFields(JsonWriter& w, const Sample& s) {
+  w.beginObject(JsonWriter::kInline).field("name", s.name);
+  jsonLabels(w, s.labels);
+  w.field("count", s.hist.count);
+  w.field("sum", static_cast<double>(s.hist.sum) * s.scale);
+  w.field("min", static_cast<double>(s.hist.min) * s.scale);
+  w.field("max", static_cast<double>(s.hist.max) * s.scale);
+  w.field("mean", s.hist.mean() * s.scale);
 }
 
 /// Power-of-two raw-unit bucket bounds covering the snapshot's [min, max];
@@ -120,7 +118,8 @@ void MetricsSnapshot::writePrometheus(
       os << "# TYPE " << name << ' '
          << (s.type == MetricType::kCounter ? "counter" : "gauge") << '\n';
     }
-    os << name << promLabels(s.labels) << ' ' << fmt(s.value) << '\n';
+    os << name << promLabels(s.labels) << ' ' << telemetryNumber(s.value)
+       << '\n';
   }
   for (const SummarySample& s : summaries) {
     const std::string name = promName(s.name);
@@ -128,15 +127,14 @@ void MetricsSnapshot::writePrometheus(
       os << "# HELP " << name << ' ' << *h << '\n';
     }
     os << "# TYPE " << name << " summary\n";
-    for (std::size_t q = 0; q < std::size(kSummaryQuantiles); ++q) {
-      os << name
-         << promLabelsWith(s.labels, "quantile", fmt(kSummaryQuantiles[q]))
-         << ' ' << fmt(s.hist.quantile(kSummaryQuantiles[q]) * s.scale) << '\n';
+    for (const double q : kSummaryQuantiles) {
+      os << name << promLabelsWith(s.labels, "quantile", telemetryNumber(q))
+         << ' ' << telemetryNumber(s.hist.quantile(q) * s.scale) << '\n';
     }
     os << name << "_sum" << promLabels(s.labels) << ' '
-       << fmt(static_cast<double>(s.hist.sum) * s.scale) << '\n';
+       << telemetryNumber(static_cast<double>(s.hist.sum) * s.scale) << '\n';
     os << name << "_count" << promLabels(s.labels) << ' '
-       << fmt(static_cast<double>(s.hist.count)) << '\n';
+       << telemetryNumber(static_cast<double>(s.hist.count)) << '\n';
   }
   for (const HistogramSample& s : histograms) {
     const std::string name = promName(s.name);
@@ -158,76 +156,61 @@ void MetricsSnapshot::writePrometheus(
     for (const u64 b : histBounds(s.hist)) {
       const double le = static_cast<double>(b) * s.scale;
       os << name << "_bucket"
-         << promLabelsWith(s.labels, "le", fmt(le)) << ' '
+         << promLabelsWith(s.labels, "le", telemetryNumber(le)) << ' '
          << histCumBelow(s.hist, b);
       if (const MetricExemplar* e = exemplarFor(le, false))
         os << " # {trace_id=\"" << promEscape(e->traceId) << "\"} "
-           << fmt(e->value);
+           << telemetryNumber(e->value);
       os << '\n';
     }
     os << name << "_bucket" << promLabelsWith(s.labels, "le", "+Inf") << ' '
        << s.hist.count;
     if (const MetricExemplar* e = exemplarFor(0, true))
       os << " # {trace_id=\"" << promEscape(e->traceId) << "\"} "
-         << fmt(e->value);
+         << telemetryNumber(e->value);
     os << '\n';
     os << name << "_sum" << promLabels(s.labels) << ' '
-       << fmt(static_cast<double>(s.hist.sum) * s.scale) << '\n';
+       << telemetryNumber(static_cast<double>(s.hist.sum) * s.scale) << '\n';
     os << name << "_count" << promLabels(s.labels) << ' '
-       << fmt(static_cast<double>(s.hist.count)) << '\n';
+       << telemetryNumber(static_cast<double>(s.hist.count)) << '\n';
   }
 }
 
 void MetricsSnapshot::writeJson(std::ostream& os) const {
-  os << "{\n  \"schema\": \"adres.metrics.v1\",\n"
-     << "  \"sequence\": " << sequence << ",\n"
-     << "  \"uptime_ms\": " << fmt(uptimeMs) << ",\n  \"metrics\": [";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const MetricSample& s = samples[i];
-    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << jsonEscape(s.name)
-       << "\", \"type\": \""
-       << (s.type == MetricType::kCounter ? "counter" : "gauge")
-       << "\", \"labels\": ";
-    jsonLabels(os, s.labels);
-    os << ", \"value\": " << fmt(s.value) << '}';
+  JsonWriter w(os);
+  writeJson(w);
+}
+
+void MetricsSnapshot::writeJson(JsonWriter& w) const {
+  constexpr auto kInline = JsonWriter::kInline;
+  w.beginObject().field("schema", "adres.metrics.v1");
+  w.field("sequence", sequence).field("uptime_ms", uptimeMs);
+  w.key("metrics").beginArray();
+  for (const MetricSample& s : samples) {
+    w.beginObject(kInline).field("name", s.name);
+    w.field("type", s.type == MetricType::kCounter ? "counter" : "gauge");
+    jsonLabels(w, s.labels);
+    w.field("value", s.value).end();
   }
-  os << "\n  ],\n  \"summaries\": [";
-  for (std::size_t i = 0; i < summaries.size(); ++i) {
-    const SummarySample& s = summaries[i];
-    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << jsonEscape(s.name)
-       << "\", \"labels\": ";
-    jsonLabels(os, s.labels);
-    os << ", \"count\": " << s.hist.count << ", \"sum\": "
-       << fmt(static_cast<double>(s.hist.sum) * s.scale)
-       << ", \"min\": " << fmt(static_cast<double>(s.hist.min) * s.scale)
-       << ", \"max\": " << fmt(static_cast<double>(s.hist.max) * s.scale)
-       << ", \"mean\": " << fmt(s.hist.mean() * s.scale);
-    for (std::size_t q = 0; q < std::size(kSummaryQuantiles); ++q) {
-      os << ", \"" << kSummaryQuantileNames[q] << "\": "
-         << fmt(s.hist.quantile(kSummaryQuantiles[q]) * s.scale);
+  w.end().key("summaries").beginArray();
+  for (const SummarySample& s : summaries) {
+    jsonHistFields(w, s);
+    for (std::size_t q = 0; q < std::size(kSummaryQuantiles); ++q)
+      w.field(kSummaryQuantileNames[q],
+              s.hist.quantile(kSummaryQuantiles[q]) * s.scale);
+    w.end();
+  }
+  w.end().key("histograms").beginArray();
+  for (const HistogramSample& s : histograms) {
+    jsonHistFields(w, s);
+    w.key("exemplars").beginArray(kInline);
+    for (const MetricExemplar& e : s.exemplars) {
+      w.beginObject(kInline).field("value", e.value);
+      w.field("trace_id", e.traceId).end();
     }
-    os << '}';
+    w.end().end();
   }
-  os << "\n  ],\n  \"histograms\": [";
-  for (std::size_t i = 0; i < histograms.size(); ++i) {
-    const HistogramSample& s = histograms[i];
-    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << jsonEscape(s.name)
-       << "\", \"labels\": ";
-    jsonLabels(os, s.labels);
-    os << ", \"count\": " << s.hist.count << ", \"sum\": "
-       << fmt(static_cast<double>(s.hist.sum) * s.scale)
-       << ", \"min\": " << fmt(static_cast<double>(s.hist.min) * s.scale)
-       << ", \"max\": " << fmt(static_cast<double>(s.hist.max) * s.scale)
-       << ", \"mean\": " << fmt(s.hist.mean() * s.scale)
-       << ", \"exemplars\": [";
-    for (std::size_t e = 0; e < s.exemplars.size(); ++e) {
-      os << (e ? ", " : "") << "{\"value\": " << fmt(s.exemplars[e].value)
-         << ", \"trace_id\": \"" << jsonEscape(s.exemplars[e].traceId)
-         << "\"}";
-    }
-    os << "]}";
-  }
-  os << "\n  ]\n}\n";
+  w.end().end();
 }
 
 MetricsRegistry::MetricsRegistry() : start_(std::chrono::steady_clock::now()) {}

@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json_write.hpp"
 #include "common/types.hpp"
 #include "obs/histogram.hpp"
 
@@ -94,6 +95,7 @@ struct MetricsSnapshot {
       const std::vector<std::pair<std::string, std::string>>& help = {}) const;
   /// Versioned JSON: {"schema":"adres.metrics.v1", ...}.
   void writeJson(std::ostream& os) const;
+  void writeJson(JsonWriter& w) const;
 };
 
 class MetricsRegistry {

@@ -13,45 +13,21 @@
 namespace adres::obs {
 namespace {
 
-u64 hexToU64(const std::string& s) {
-  ADRES_CHECK(!s.empty() && s.size() <= 16, "bad hex u64 '" << s << '\'');
-  u64 v = 0;
-  for (const char c : s) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') v |= static_cast<u64>(c - '0');
-    else if (c >= 'a' && c <= 'f') v |= static_cast<u64>(c - 'a' + 10);
-    else if (c >= 'A' && c <= 'F') v |= static_cast<u64>(c - 'A' + 10);
-    else ADRES_CHECK(false, "bad hex digit in '" << s << '\'');
-  }
-  return v;
-}
-
-void writeResultRecord(const ResultRecord& r, std::ostream& os,
-                       const char* pad) {
-  os << "{\n" << pad << "  \"detected\": " << (r.detected ? "true" : "false")
-     << ",\n" << pad << "  \"ltf_start\": " << r.ltfStart << ",\n"
-     << pad << "  \"stop\": \"" << jsonEscape(r.stop) << "\",\n"
-     << pad << "  \"cycles\": " << r.cycles << ",\n"
-     << pad << "  \"total_ops\": " << r.totalOps << ",\n"
-     << pad << "  \"bits\": \"";
-  for (const u8 b : r.bits) os << (b ? '1' : '0');
-  os << "\",\n" << pad << "  \"regions\": [";
-  std::size_t i = 0;
+void writeResultRecord(JsonWriter& w, const ResultRecord& r) {
+  std::string bits;
+  for (const u8 b : r.bits) bits.push_back(b ? '1' : '0');
+  w.beginObject().field("detected", r.detected).field("ltf_start", r.ltfStart);
+  w.field("stop", r.stop).field("cycles", r.cycles);
+  w.field("total_ops", r.totalOps).field("bits", bits);
+  w.key("regions").beginArray();
   for (const auto& [id, p] : r.regions) {
-    os << (i++ ? ",\n" : "\n") << pad << "    {\"id\": " << id
-       << ", \"cycles\": " << p.cycles << ", \"vliw_cycles\": " << p.vliwCycles
-       << ", \"cga_cycles\": " << p.cgaCycles << ", \"ops\": " << p.ops
-       << ", \"vliw_ops\": " << p.vliwOps << ", \"cga_ops\": " << p.cgaOps
-       << ", \"entries\": " << p.entries << '}';
+    w.beginObject(JsonWriter::kInline).field("id", id);
+    w.field("cycles", p.cycles).field("vliw_cycles", p.vliwCycles);
+    w.field("cga_cycles", p.cgaCycles).field("ops", p.ops);
+    w.field("vliw_ops", p.vliwOps).field("cga_ops", p.cgaOps);
+    w.field("entries", p.entries).end();
   }
-  os << "\n" << pad << "  ]\n" << pad << '}';
-}
-
-void writeRx(const std::vector<cint16>& rx, std::ostream& os) {
-  os << '[';
-  for (std::size_t i = 0; i < rx.size(); ++i)
-    os << (i ? "," : "") << rx[i].re << ',' << rx[i].im;
-  os << ']';
+  w.end().end();
 }
 
 ResultRecord parseResultRecord(const json::JsonValue& v) {
@@ -94,53 +70,41 @@ std::vector<cint16> parseRx(const json::JsonValue& v) {
 
 void writePostmortemJson(const PostmortemBundle& b, std::ostream& os,
                          const MetricsRegistry* metrics) {
-  os << "{\n  \"schema\": \"adres.postmortem.v1\",\n"
-     << "  \"trigger\": \"" << jsonEscape(b.trigger) << "\",\n"
-     << "  \"reason\": \"" << jsonEscape(b.reason) << "\",\n"
-     << "  \"job_id\": " << b.jobId << ",\n  \"tag\": " << b.tag
-     << ",\n  \"worker\": " << b.worker << ",\n  \"trace_id\": \""
-     << trace::traceIdHex(b.traceId) << "\",\n  \"config\": {\n"
-     << "    \"modulation\": " << b.modulation
-     << ",\n    \"num_symbols\": " << b.numSymbols
-     << ",\n    \"exec_tier\": \"" << jsonEscape(b.execTier)
-     << "\",\n    \"shadow_tier\": \"" << jsonEscape(b.shadowTier)
-     << "\",\n    \"max_cycles\": " << b.maxCycles
-     << ",\n    \"fault_inject_seed\": \"" << trace::traceIdHex(b.faultInjectSeed)
-     << "\"\n  },\n  \"rx\": [\n    ";
-  writeRx(b.rx[0], os);
-  os << ",\n    ";
-  writeRx(b.rx[1], os);
-  os << "\n  ],\n  \"primary\": ";
-  writeResultRecord(b.primary, os, "  ");
-  os << ",\n  \"shadow\": ";
+  using Hex = JsonWriter::Hex;
+  JsonWriter w(os);
+  w.beginObject().field("schema", "adres.postmortem.v1");
+  w.field("trigger", b.trigger).field("reason", b.reason);
+  w.field("job_id", b.jobId).field("tag", b.tag).field("worker", b.worker);
+  w.field("trace_id", Hex{b.traceId}).key("config").beginObject();
+  w.field("modulation", b.modulation).field("num_symbols", b.numSymbols);
+  w.field("exec_tier", b.execTier).field("shadow_tier", b.shadowTier);
+  w.field("max_cycles", b.maxCycles);
+  w.field("fault_inject_seed", Hex{b.faultInjectSeed}).end();
+  w.key("rx").beginArray();
+  for (const std::vector<cint16>& antenna : b.rx) {
+    w.beginArray(JsonWriter::kCompact);
+    for (const cint16& s : antenna) w.value(s.re).value(s.im);
+    w.end();
+  }
+  writeResultRecord(w.end().key("primary"), b.primary);
   if (b.shadow.valid) {
-    writeResultRecord(b.shadow, os, "  ");
+    writeResultRecord(w.key("shadow"), b.shadow);
   } else {
-    os << "null";
+    w.field("shadow", nullptr);
   }
-  os << ",\n  \"spans\": [";
-  trace::writeSpanJsonEntries(b.spans.spans, os, 4);
-  os << "\n  ],\n  \"ring\": {\n    \"capacity\": " << b.ringCapacity
-     << ",\n    \"accepted\": " << b.ringAccepted
-     << ",\n    \"dropped\": " << b.ringDropped << ",\n    \"events\": [";
-  trace::writeTraceEventJsonEntries(b.ring, os, 6);
-  os << "\n    ]\n  },\n  \"buildinfo\": ";
-  {
-    std::ostringstream bi;
-    writeBuildInfoJson(bi);
-    std::string s = bi.str();
-    while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) s.pop_back();
-    os << s;
-  }
+  trace::writeSpansJson(w.key("spans"), b.spans.spans);
+  w.key("ring").beginObject().field("capacity", b.ringCapacity);
+  w.field("accepted", b.ringAccepted).field("dropped", b.ringDropped);
+  trace::writeTraceEventsJson(w.key("events"), b.ring);
+  w.end();
+  // The build identity and metrics snapshot are standalone documents,
+  // embedded as written on their own.
+  w.key("buildinfo").embed([](JsonWriter& doc) { writeBuildInfoJson(doc); });
   if (metrics) {
-    os << ",\n  \"metrics\": ";
-    std::ostringstream ms;
-    metrics->writeJson(ms);
-    std::string s = ms.str();
-    while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) s.pop_back();
-    os << s;
+    w.key("metrics").embed(
+        [metrics](JsonWriter& doc) { metrics->snapshot().writeJson(doc); });
   }
-  os << "\n}\n";
+  w.end();
 }
 
 PostmortemBundle loadPostmortemBundle(const std::string& path) {
@@ -159,7 +123,7 @@ PostmortemBundle loadPostmortemBundle(const std::string& path) {
   b.jobId = static_cast<u64>(root.at("job_id").number);
   b.tag = static_cast<u32>(root.at("tag").number);
   b.worker = static_cast<int>(root.at("worker").number);
-  b.traceId = hexToU64(root.at("trace_id").str);
+  b.traceId = parseHex64(root.at("trace_id").str);
 
   const json::JsonValue& cfg = root.at("config");
   b.modulation = static_cast<int>(cfg.at("modulation").number);
@@ -167,7 +131,7 @@ PostmortemBundle loadPostmortemBundle(const std::string& path) {
   b.execTier = cfg.at("exec_tier").str;
   b.shadowTier = cfg.at("shadow_tier").str;
   b.maxCycles = static_cast<u64>(cfg.at("max_cycles").number);
-  b.faultInjectSeed = hexToU64(cfg.at("fault_inject_seed").str);
+  b.faultInjectSeed = parseHex64(cfg.at("fault_inject_seed").str);
 
   const json::JsonValue& rx = root.at("rx");
   ADRES_CHECK(rx.array.size() == 2, "bundle rx must hold two antenna streams");

@@ -1,8 +1,6 @@
 #include "obs/slo.hpp"
 
 #include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 
@@ -23,12 +21,6 @@ constexpr const char* kCellLatencySummary = "adres_cell_latency_us";
 constexpr const char* kQueueWaitSummary = "adres_farm_queue_wait_us";
 constexpr const char* kHealthEventsCounter = "adres_farm_health_events_total";
 constexpr const char* kDivergencesCounter = "adres_farm_divergences_total";
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", std::isfinite(v) ? v : 0.0);
-  return buf;
-}
 
 const SummarySample* findSummary(const MetricsSnapshot& snap,
                                  const char* name) {
@@ -171,8 +163,8 @@ std::string sloSpecToString(const SloSpec& spec) {
   std::ostringstream os;
   os << spec.name << ": " << sloKindName(spec.kind);
   if (spec.kind == SloKind::kDeadlineMissRate)
-    os << '(' << fmt(spec.deadlineUs) << ')';
-  os << (spec.strict ? " < " : " <= ") << fmt(spec.threshold);
+    os << '(' << telemetryNumber(spec.deadlineUs) << ')';
+  os << (spec.strict ? " < " : " <= ") << telemetryNumber(spec.threshold);
   if (spec.forCount > 1) os << " for " << spec.forCount;
   return os.str();
 }
@@ -354,25 +346,21 @@ void SloEngine::stop() {
 }
 
 void SloEngine::writeJson(std::ostream& os) const {
-  std::vector<SloStatus> sts = statuses();
-  os << "{\n  \"schema\": \"adres.slo.v1\",\n  \"evaluations\": "
-     << totalEvaluations() << ",\n  \"slos\": [";
-  for (std::size_t i = 0; i < sts.size(); ++i) {
-    const SloStatus& st = sts[i];
-    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << jsonEscape(st.spec.name)
-       << "\", \"spec\": \"" << jsonEscape(sloSpecToString(st.spec))
-       << "\", \"metric\": \""
-       << sloKindName(st.spec.kind) << "\", \"threshold\": "
-       << fmt(st.spec.threshold) << ", \"for\": " << st.spec.forCount
-       << ", \"value\": " << fmt(st.value)
-       << ", \"have_value\": " << (st.haveValue ? "true" : "false")
-       << ", \"breaching\": " << (st.breaching ? "true" : "false")
-       << ", \"fired\": " << (st.fired ? "true" : "false")
-       << ", \"consecutive\": " << st.consecutive
-       << ", \"breaches\": " << st.breaches
-       << ", \"burn_rate\": " << fmt(st.burnRate) << '}';
+  const std::vector<SloStatus> sts = statuses();
+  JsonWriter w(os);
+  w.beginObject().field("schema", "adres.slo.v1");
+  w.field("evaluations", totalEvaluations()).key("slos").beginArray();
+  for (const SloStatus& st : sts) {
+    w.beginObject(JsonWriter::kInline).field("name", st.spec.name);
+    w.field("spec", sloSpecToString(st.spec));
+    w.field("metric", sloKindName(st.spec.kind));
+    w.field("threshold", st.spec.threshold).field("for", st.spec.forCount);
+    w.field("value", st.value).field("have_value", st.haveValue);
+    w.field("breaching", st.breaching).field("fired", st.fired);
+    w.field("consecutive", st.consecutive).field("breaches", st.breaches);
+    w.field("burn_rate", st.burnRate).end();
   }
-  os << "\n  ]\n}\n";
+  w.end().end();
 }
 
 }  // namespace adres::obs

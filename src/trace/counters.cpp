@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string_view>
 
+#include "common/json_write.hpp"
 #include "core/processor.hpp"
 
 namespace adres::trace {
@@ -90,27 +91,18 @@ void writeCountersJson(
     std::ostream& os, const std::map<std::string, u64>& counters,
     const std::map<std::string, std::map<std::string, u64>>& groups,
     int workers) {
-  os << "{\n  \"schema\": \"adres.counters.v1\",";
-  if (workers > 0) os << "\n  \"workers\": " << workers << ',';
-  os << "\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    os << (first ? "\n" : ",\n") << "    \"" << name << "\": " << value;
-    first = false;
-  }
-  os << "\n  },\n  \"groups\": {";
-  bool firstGroup = true;
+  JsonWriter w(os);
+  w.beginObject().field("schema", "adres.counters.v1");
+  if (workers > 0) w.field("workers", workers);
+  w.key("counters").beginObject();
+  for (const auto& [name, value] : counters) w.field(name, value);
+  w.end().key("groups").beginObject();
   for (const auto& [prefix, block] : groups) {
-    os << (firstGroup ? "\n" : ",\n") << "    \"" << prefix << "\": {";
-    firstGroup = false;
-    bool firstKey = true;
-    for (const auto& [suffix, value] : block) {
-      os << (firstKey ? "\n" : ",\n") << "      \"" << suffix << "\": " << value;
-      firstKey = false;
-    }
-    os << "\n    }";
+    w.key(prefix).beginObject();
+    for (const auto& [suffix, value] : block) w.field(suffix, value);
+    w.end();
   }
-  os << "\n  }\n}\n";
+  w.end().end();
 }
 
 void writeCountersJson(const Processor& proc, std::ostream& os) {

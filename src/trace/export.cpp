@@ -1,11 +1,8 @@
 #include "trace/export.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <string>
 
 #include "common/check.hpp"
-#include "common/json_write.hpp"
 #include "isa/opcodes.hpp"
 
 namespace adres {
@@ -112,91 +109,70 @@ std::string nameOf(const TraceEvent& e, const TraceNames& names) {
   return "?";
 }
 
-void writeThreadName(std::ostream& os, int tidNum, const std::string& name,
-                     bool& first) {
-  if (!first) os << ",\n";
-  first = false;
-  os << R"({"name":"thread_name","ph":"M","pid":1,"tid":)" << tidNum
-     << R"(,"args":{"name":")" << jsonEscape(name) << R"("}})";
+constexpr auto kCompact = JsonWriter::kCompact;
+
+void writeThreadName(JsonWriter& w, int tidNum, const std::string& name) {
+  w.lineBreak().beginObject(kCompact).field("name", "thread_name");
+  w.field("ph", "M").field("pid", 1).field("tid", tidNum);
+  w.key("args").beginObject(kCompact).field("name", name).end().end();
 }
 
 }  // namespace
 
 void writeChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os,
                       const TraceNames& names, double cyclePeriodUs) {
-  os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
-  bool first = true;
-  writeThreadName(os, tid::kCore, "core", first);
+  JsonWriter w(os);
+  w.beginObject(kCompact).field("displayTimeUnit", "ns");
+  w.key("traceEvents").beginArray(kCompact);
+  writeThreadName(w, tid::kCore, "core");
   for (int s = 0; s < 3; ++s)
-    writeThreadName(os, tid::kVliwSlot0 + s, "vliw.slot" + std::to_string(s),
-                    first);
+    writeThreadName(w, tid::kVliwSlot0 + s, "vliw.slot" + std::to_string(s));
   for (int fu = 0; fu < 16; ++fu)
-    writeThreadName(os, tid::kCgaFu0 + fu,
+    writeThreadName(w, tid::kCgaFu0 + fu,
                     "cga.fu" + std::string(fu < 10 ? "0" : "") +
-                        std::to_string(fu),
-                    first);
+                        std::to_string(fu));
   for (int b = 0; b < 4; ++b)
-    writeThreadName(os, tid::kL1Bank0 + b, "l1.bank" + std::to_string(b),
-                    first);
-  writeThreadName(os, tid::kICache, "icache", first);
-  writeThreadName(os, tid::kDma, "dma", first);
-  writeThreadName(os, tid::kAhb, "ahb", first);
+    writeThreadName(w, tid::kL1Bank0 + b, "l1.bank" + std::to_string(b));
+  writeThreadName(w, tid::kICache, "icache");
+  writeThreadName(w, tid::kDma, "dma");
+  writeThreadName(w, tid::kAhb, "ahb");
 
   for (const TraceEvent& e : events) {
-    os << ",\n";
     const bool span = e.dur > 0;
-    os << "{\"name\":\"" << jsonEscape(nameOf(e, names)) << "\",\"ph\":\""
-       << (span ? 'X' : 'i') << "\",\"ts\":"
-       << static_cast<double>(e.cycle) * cyclePeriodUs;
-    if (span) os << ",\"dur\":" << static_cast<double>(e.dur) * cyclePeriodUs;
-    if (!span) os << ",\"s\":\"t\"";  // thread-scoped instant
-    os << ",\"pid\":1,\"tid\":" << tidOf(e) << ",\"args\":{\"cycle\":"
-       << e.cycle << ",\"dur_cycles\":" << e.dur << ",\"kind\":\""
-       << traceEventKindName(e.kind) << "\",\"a\":" << e.a << ",\"b\":" << e.b
-       << "}}";
+    w.lineBreak().beginObject(kCompact).field("name", nameOf(e, names));
+    w.field("ph", span ? "X" : "i");
+    w.field("ts", static_cast<double>(e.cycle) * cyclePeriodUs);
+    if (span) w.field("dur", static_cast<double>(e.dur) * cyclePeriodUs);
+    if (!span) w.field("s", "t");  // thread-scoped instant
+    w.field("pid", 1).field("tid", tidOf(e)).key("args").beginObject(kCompact);
+    w.field("cycle", e.cycle).field("dur_cycles", e.dur);
+    w.field("kind", traceEventKindName(e.kind));
+    w.field("a", e.a).field("b", e.b).end().end();
   }
-  os << "\n]}\n";
+  w.lineBreak().end().end();
 }
 
-void writeJsonl(const std::vector<TraceEvent>& events, std::ostream& os) {
-  for (const TraceEvent& e : events) {
-    os << "{\"cycle\":" << e.cycle << ",\"dur\":" << e.dur << ",\"kind\":\""
-       << traceEventKindName(e.kind) << "\",\"track\":"
-       << static_cast<int>(e.track) << ",\"a\":" << e.a << ",\"b\":" << e.b
-       << "}\n";
+void writeSpansJson(JsonWriter& w, const std::vector<Span>& spans) {
+  w.beginArray();
+  for (const Span& s : spans) {
+    w.beginObject(JsonWriter::kInline);
+    w.field("kind", spanKindName(s.kind)).field("name", s.name);
+    w.field("start_us", s.startUs).field("dur_us", s.durUs);
+    w.field("start_cycle", s.startCycle).field("cycles", s.cycles);
+    w.field("ops", s.ops).end();
   }
+  w.end();
 }
 
-void writeSpanJsonEntries(const std::vector<Span>& spans, std::ostream& os,
-                          int indent) {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  char buf[64];
-  const auto fmt = [&buf](double v) {
-    std::snprintf(buf, sizeof buf, "%.10g", std::isfinite(v) ? v : 0.0);
-    return buf;
-  };
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const Span& s = spans[i];
-    os << (i ? ",\n" : "\n") << pad << "{\"kind\": \"" << spanKindName(s.kind)
-       << "\", \"name\": \"" << jsonEscape(s.name)
-       << "\", \"start_us\": " << fmt(s.startUs)
-       << ", \"dur_us\": " << fmt(s.durUs)
-       << ", \"start_cycle\": " << s.startCycle << ", \"cycles\": " << s.cycles
-       << ", \"ops\": " << s.ops << '}';
+void writeTraceEventsJson(JsonWriter& w, const std::vector<TraceEvent>& ring) {
+  w.beginArray();
+  for (const TraceEvent& e : ring) {
+    w.beginObject(JsonWriter::kInline);
+    w.field("cycle", e.cycle).field("dur", e.dur);
+    w.field("kind", traceEventKindName(e.kind)).field("track", e.track);
+    w.field("a", e.a).field("b", e.b).end();
   }
-}
-
-void writeTraceEventJsonEntries(const std::vector<TraceEvent>& events,
-                                std::ostream& os, int indent) {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
-    os << (i ? ",\n" : "\n") << pad << "{\"cycle\": " << e.cycle
-       << ", \"dur\": " << e.dur << ", \"kind\": \""
-       << traceEventKindName(e.kind)
-       << "\", \"track\": " << static_cast<int>(e.track) << ", \"a\": " << e.a
-       << ", \"b\": " << e.b << '}';
-  }
+  w.end();
 }
 
 SpanKind spanKindFromName(std::string_view name) {

@@ -1,5 +1,5 @@
 // Trace exporters: Chrome trace-event JSON (chrome://tracing / Perfetto)
-// and a flat JSONL stream.
+// and the span / flight-recorder arrays of the artifact harvests.
 //
 // The Chrome export maps the simulator onto one process with one named
 // track (tid) per VLIW issue slot and per CGA FU, plus tracks for the core
@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/json_write.hpp"
 #include "trace/span.hpp"
 #include "trace/trace.hpp"
 
@@ -41,24 +42,16 @@ void writeChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os,
                       const TraceNames& names = {},
                       double cyclePeriodUs = 1.0 / 400.0);
 
-/// Writes one JSON object per line, schema-stable:
-/// {"cycle":N,"dur":N,"kind":"...","track":N,"a":N,"b":N}
-void writeJsonl(const std::vector<TraceEvent>& events, std::ostream& os);
-
 // -- Shared artifact-harvest fragments --------------------------------------
-// The span-array and flight-recorder-ring JSON bodies are shared verbatim
-// between adres.exemplar.v1 and adres.postmortem.v1: one object per line at
-// `indent` spaces, emitted between the caller's '[' and ']' (a leading
-// newline before the first entry, nothing after the last).
+// Shared verbatim by adres.exemplar.v1 and adres.postmortem.v1: each writes
+// its whole array, one object per line, as the writer's next value.
 
-/// {"kind": "...", "name": "...", "start_us": .., "dur_us": ..,
-///  "start_cycle": N, "cycles": N, "ops": N}
-void writeSpanJsonEntries(const std::vector<Span>& spans, std::ostream& os,
-                          int indent);
+/// [{"kind": "...", "name": "...", "start_us": .., "dur_us": ..,
+///   "start_cycle": N, "cycles": N, "ops": N}, ...]
+void writeSpansJson(JsonWriter& w, const std::vector<Span>& spans);
 
-/// {"cycle": N, "dur": N, "kind": "...", "track": N, "a": N, "b": N}
-void writeTraceEventJsonEntries(const std::vector<TraceEvent>& events,
-                                std::ostream& os, int indent);
+/// [{"cycle": N, "dur": N, "kind": "...", "track": N, "a": N, "b": N}, ...]
+void writeTraceEventsJson(JsonWriter& w, const std::vector<TraceEvent>& ring);
 
 /// Reverse lookups for the artifact loaders (postmortem_replay); throw
 /// SimError on an unknown label.

@@ -115,41 +115,30 @@ std::vector<CycleSink> ProfileSummary::topSinks(std::size_t n) const {
 }
 
 void ProfileSummary::writeJson(std::ostream& os) const {
-  os << "{\n  \"schema\": \"adres.profile.v1\",\n"
-     << "  \"runs\": " << runs << ",\n"
-     << "  \"total_cycles\": " << totalCycles << ",\n  \"regions\": [";
-  bool first = true;
+  constexpr auto kInline = JsonWriter::kInline;
+  JsonWriter w(os);
+  w.beginObject().field("schema", "adres.profile.v1").field("runs", runs);
+  w.field("total_cycles", totalCycles).key("regions").beginArray();
   for (const auto& [name, rr] : regions) {
-    os << (first ? "\n" : ",\n") << "    {\"name\": \"" << jsonEscape(name)
-       << "\", \"cycles\": " << rr.cycles
-       << ", \"vliw_cycles\": " << rr.vliwCycles
-       << ", \"cga_cycles\": " << rr.cgaCycles
-       << ", \"vliw_ops\": " << rr.vliwOps << ", \"cga_ops\": " << rr.cgaOps
-       << ", \"entries\": " << rr.entries << '}';
-    first = false;
+    w.beginObject(kInline).field("name", name).field("cycles", rr.cycles);
+    w.field("vliw_cycles", rr.vliwCycles).field("cga_cycles", rr.cgaCycles);
+    w.field("vliw_ops", rr.vliwOps).field("cga_ops", rr.cgaOps);
+    w.field("entries", rr.entries).end();
   }
-  os << "\n  ],\n  \"kernels\": [";
-  first = true;
+  w.end().key("kernels").beginArray();
   for (const auto& [key, kr] : kernels) {
-    os << (first ? "\n" : ",\n") << "    {\"region\": \""
-       << jsonEscape(key.first) << "\", \"kernel\": \""
-       << jsonEscape(key.second) << "\", \"launches\": " << kr.launches
-       << ", \"trips\": " << kr.trips << ", \"cycles\": " << kr.cycles
-       << ", \"issue_cycles\": " << kr.issueCycles
-       << ", \"idle_cycles\": " << kr.idleCycles
-       << ", \"stall_cycles\": " << kr.stallCycles
-       << ", \"overhead_cycles\": " << kr.overheadCycles
-       << ", \"ops\": " << kr.ops << ", \"route_moves\": " << kr.routeMoves
-       << ", \"ops_by_class\": {";
-    bool firstCls = true;
-    for (const auto& [cls, ops] : kr.opsByClass) {
-      os << (firstCls ? "" : ", ") << '"' << jsonEscape(cls) << "\": " << ops;
-      firstCls = false;
-    }
-    os << "}}";
-    first = false;
+    w.beginObject(kInline).field("region", key.first);
+    w.field("kernel", key.second).field("launches", kr.launches);
+    w.field("trips", kr.trips).field("cycles", kr.cycles);
+    w.field("issue_cycles", kr.issueCycles).field("idle_cycles", kr.idleCycles);
+    w.field("stall_cycles", kr.stallCycles);
+    w.field("overhead_cycles", kr.overheadCycles);
+    w.field("ops", kr.ops).field("route_moves", kr.routeMoves);
+    w.key("ops_by_class").beginObject(kInline);
+    for (const auto& [cls, ops] : kr.opsByClass) w.field(cls, ops);
+    w.end().end();
   }
-  os << "\n  ]\n}\n";
+  w.end().end();
 }
 
 void ProfileSummary::writeFolded(std::ostream& os) const {

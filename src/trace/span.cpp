@@ -39,15 +39,7 @@ u64 packetTraceId(u64 jobId, u32 tag) {
   return id ? id : 1;
 }
 
-std::string traceIdHex(u64 id) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kHex[id & 0xf];
-    id >>= 4;
-  }
-  return out;
-}
+std::string traceIdHex(u64 id) { return hex64(id); }
 
 PacketSpans buildPacketSpans(u64 jobId, u32 tag, int worker, double enqueueUs,
                              double dispatchUs, double decodeStartUs,
@@ -120,30 +112,36 @@ PacketSpans buildPacketSpans(u64 jobId, u32 tag, int worker, double enqueueUs,
 void writeSpansChromeTrace(const std::vector<PacketSpans>& packets,
                            std::ostream& os) {
   constexpr int kPid = 2;  // pid 1 is the cycle-level core trace exporter
-  os << "{\"traceEvents\":[\n";
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kPid
-     << ",\"tid\":0,\"args\":{\"name\":\"adres packet farm\"}}";
+  constexpr auto kCompact = JsonWriter::kCompact;
+  JsonWriter w(os);
+  w.beginObject(kCompact).key("traceEvents").beginArray(kCompact);
+  const auto metadata = [&](const char* name, int tid,
+                            const std::string& label) {
+    w.lineBreak().beginObject(kCompact).field("name", name).field("ph", "M");
+    w.field("pid", kPid).field("tid", tid).key("args").beginObject(kCompact);
+    w.field("name", label).end().end();
+  };
+  metadata("process_name", 0, "adres packet farm");
   std::vector<int> workers;
   for (const PacketSpans& p : packets)
     if (std::find(workers.begin(), workers.end(), p.worker) == workers.end())
       workers.push_back(p.worker);
   std::sort(workers.begin(), workers.end());
-  for (const int w : workers) {
-    os << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kPid
-       << ",\"tid\":" << w << ",\"args\":{\"name\":\"worker " << w << "\"}}";
-  }
+  for (const int wk : workers)
+    metadata("thread_name", wk, "worker " + std::to_string(wk));
   for (const PacketSpans& p : packets) {
     for (const Span& s : p.spans) {
-      os << ",\n{\"name\":\"" << jsonEscape(s.name) << "\",\"cat\":\""
-         << spanKindName(s.kind) << "\",\"ph\":\"X\",\"pid\":" << kPid
-         << ",\"tid\":" << p.worker << ",\"ts\":" << s.startUs
-         << ",\"dur\":" << s.durUs << ",\"args\":{\"trace_id\":\""
-         << traceIdHex(p.traceId) << "\",\"job\":" << p.jobId
-         << ",\"tag\":" << p.tag << ",\"cycles\":" << s.cycles
-         << ",\"ops\":" << s.ops << "}}";
+      w.lineBreak().beginObject(kCompact).field("name", s.name);
+      w.field("cat", spanKindName(s.kind)).field("ph", "X");
+      w.field("pid", kPid).field("tid", p.worker);
+      w.field("ts", s.startUs).field("dur", s.durUs);
+      w.key("args").beginObject(kCompact);
+      w.field("trace_id", JsonWriter::Hex{p.traceId}).field("job", p.jobId);
+      w.field("tag", p.tag).field("cycles", s.cycles).field("ops", s.ops);
+      w.end().end();
     }
   }
-  os << "\n]}\n";
+  w.lineBreak().end().end();
 }
 
 }  // namespace adres::trace

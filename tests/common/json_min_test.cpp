@@ -2,10 +2,13 @@
 // rejected with the parser's normal error (std::runtime_error) instead of
 // overflowing the stack — 200k nested '[' used to segfault.  The file
 // loaders built on the parser (campaign checkpoints) inherit the limit.
-// Also pins that the shared writer-side jsonEscape round-trips losslessly
-// through the parser.
+// Also pins the JsonWriter rules every emitter relies on: escaping that
+// round-trips losslessly through the parser, the two double forms, the hex
+// form and the three layouts.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -78,10 +81,88 @@ TEST(JsonParser, CheckpointLoaderRejectsDeepNesting) {
 TEST(JsonParser, EscapedStringsRoundTrip) {
   const std::string raw =
       std::string("q\"b\\n\nt\tc") + '\x01' + "\x1f|\xc3\xa9";
-  const std::string doc = "{\"s\": \"" + jsonEscape(raw) + "\"}";
-  EXPECT_EQ(jsonEscape(raw),
-            "q\\\"b\\\\n\\nt\\tc\\u0001\\u001f|\xc3\xa9");
-  EXPECT_EQ(JsonParser(doc).parse().at("s").str, raw);
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.beginObject(JsonWriter::kInline).field(raw, raw).end();
+  const std::string escaped = "\"q\\\"b\\\\n\\nt\\tc\\u0001\\u001f|\xc3\xa9\"";
+  EXPECT_EQ(os.str(), "{" + escaped + ": " + escaped + "}\n");
+  const JsonValue v = JsonParser(os.str()).parse();
+  ASSERT_TRUE(v.hasKey(raw));
+  EXPECT_EQ(v.at(raw).str, raw);
+}
+
+TEST(JsonWriter, NumberAndHexForms) {
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.beginArray(JsonWriter::kCompact)
+      .value(0.1)
+      .value(JsonWriter::Exact{0.1})
+      .value(1.0 / 3.0)
+      .value(std::numeric_limits<double>::infinity())
+      .value(std::nan(""))
+      .value(static_cast<u8>(200))
+      .value(static_cast<i16>(-32768))
+      .value(~0ull)
+      .value(JsonWriter::Hex{0xabc})
+      .value(true)
+      .value(nullptr)
+      .end();
+  EXPECT_EQ(os.str(),
+            "[0.1,0.10000000000000001,0.3333333333,0,0,200,-32768,"
+            "18446744073709551615,\"0000000000000abc\",true,null]\n");
+  EXPECT_EQ(hex64(0x0123456789abcdefull), "0123456789abcdef");
+  EXPECT_EQ(telemetryNumber(1e300 * 1e300), "0");
+}
+
+TEST(JsonWriter, LayoutsLineBreaksAndEmbeddedDocuments) {
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.beginObject(JsonWriter::kInline)
+      .lineBreak()
+      .field("a", 1)
+      .field("b", 2)
+      .lineBreak()
+      .key("rows")
+      .beginArray();
+  w.beginObject(JsonWriter::kInline)
+      .field("x", 1)
+      .lineBreak()
+      .field("y", 2)
+      .end();
+  w.beginArray(JsonWriter::kCompact).value(1).value(2).end();
+  w.end()
+      .key("empty")
+      .beginArray()
+      .end()
+      .key("doc")
+      .embed([](JsonWriter& doc) {
+        doc.beginObject().field("k", "v").end();
+      })
+      .key("trace")
+      .beginArray(JsonWriter::kCompact)
+      .lineBreak()
+      .beginObject(JsonWriter::kCompact)
+      .field("n", 1)
+      .end()
+      .lineBreak()
+      .end()
+      .lineBreak()
+      .end();
+  EXPECT_EQ(os.str(),
+            "{\n"
+            "  \"a\": 1, \"b\": 2,\n"
+            "  \"rows\": [\n"
+            "    {\"x\": 1,\n"
+            "     \"y\": 2},\n"
+            "    [1,2]\n"
+            "  ], \"empty\": [\n"
+            "  ], \"doc\": {\n"
+            "  \"k\": \"v\"\n"
+            "}, \"trace\": [\n"
+            "{\"n\":1}\n"
+            "]\n"
+            "}\n");
+  EXPECT_NO_THROW(JsonParser(os.str()).parse());
 }
 
 }  // namespace

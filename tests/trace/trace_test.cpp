@@ -1,5 +1,5 @@
-// Trace & telemetry layer: ring-buffer flight recorder, Chrome / JSONL
-// exporters (validated with the shared tests/support/json_min.hpp parser),
+// Trace & telemetry layer: ring-buffer flight recorder, the Chrome
+// exporter (validated with the shared common/json_min.hpp parser),
 // the processor counter table, and the processor integration (events emitted during a
 // real program run, zero perturbation when the sink is detached).
 #include <gtest/gtest.h>
@@ -148,27 +148,28 @@ TEST(ChromeExport, EscapesSpecialCharactersInNames) {
   EXPECT_TRUE(found);
 }
 
-TEST(JsonlExport, OneValidObjectPerLine) {
-  std::vector<TraceEvent> events = {
-      ev(10, TraceEventKind::kICacheMiss, 0, 0x40, 0, 20),
-      ev(31, TraceEventKind::kL1Conflict, 2, 0x880, 4),
-      ev(50, TraceEventKind::kHalt),
-  };
+TEST(ChromeExport, TimestampsKeepCycleResolutionPast400kCycles) {
+  // Past 1000 us at 400 MHz a six-significant-digit timestamp merges
+  // neighbouring cycles; the telemetry form keeps one cycle apart.
+  std::vector<TraceEvent> events = {ev(400000, TraceEventKind::kVliwOp, 0, 0),
+                                    ev(400001, TraceEventKind::kVliwOp, 0, 0),
+                                    ev(4000001, TraceEventKind::kKernel, 0, 0,
+                                       0, 3)};
   std::ostringstream os;
-  trace::writeJsonl(events, os);
-  std::istringstream in(os.str());
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    JsonValue v = JsonParser(line).parse();
-    ASSERT_EQ(v.type, JsonValue::kObject);
-    ASSERT_TRUE(v.hasKey("cycle"));
-    ASSERT_TRUE(v.hasKey("kind"));
-    ASSERT_TRUE(v.hasKey("track"));
-    ++lines;
+  trace::writeChromeTrace(events, os);
+  const JsonValue root = JsonParser(os.str()).parse();
+  std::vector<double> ts, dur;
+  for (const JsonValue& e : root.at("traceEvents").array) {
+    if (e.at("ph").str == "M") continue;
+    ts.push_back(e.at("ts").number);
+    if (e.hasKey("dur")) dur.push_back(e.at("dur").number);
   }
-  EXPECT_EQ(lines, 3);
+  ASSERT_EQ(ts.size(), 3u);
+  EXPECT_DOUBLE_EQ(ts[0], 1000.0);
+  EXPECT_DOUBLE_EQ(ts[1], 1000.0025);
+  EXPECT_DOUBLE_EQ(ts[2], 10000.0025);
+  ASSERT_EQ(dur.size(), 1u);
+  EXPECT_DOUBLE_EQ(dur[0], 0.0075);
 }
 
 // ---------------------------------------------------------------------------

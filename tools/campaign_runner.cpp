@@ -11,6 +11,7 @@
 // cells complete — a deterministic "kill" for resume testing.  With
 // --live-metrics a MetricsServer exposes campaign progress while it runs.
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <string>
 #include <thread>
@@ -179,7 +180,15 @@ int main(int argc, char** argv) {
                 server->port());
   }
 
-  const campaign::CampaignResult res = runner.run();
+  campaign::CampaignResult res;
+  try {
+    res = runner.run();
+  } catch (const std::exception& e) {
+    // A checkpoint that cannot be resumed (malformed, hostile, or from
+    // another sweep) ends the run with one error line, not an abort.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 
   std::printf("\n%-28s %8s %10s %21s %10s %9s %11s %9s\n", "cell", "trials",
               "PER", "PER 95% CI", "BER", "cyc/pkt", "nJ/bit", "Mbps");
